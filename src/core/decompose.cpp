@@ -111,6 +111,12 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
   splitter.set_diagnostics(options.diagnostics);
   options.exec.check();
 
+  // The race layers below (incremental escalation, the adaptive
+  // best-of-both arms, InitMethod::Best) return one arm's result; its
+  // total_seconds is overwritten with this call's wall time, so the
+  // report covers the work of every arm, the losing ones included.
+  Timer call_timer;
+
   if (options.prior != nullptr) {
     // Incremental-first: seeded refinement over the dirty region.  When
     // the escalation certificate fires, fall back to a full solve with the
@@ -121,6 +127,7 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
     DecomposeOptions full = options;
     full.prior = nullptr;
     DecomposeResult out = decompose(g, w, full, splitter, ws);
+    out.total_seconds = call_timer.seconds();  // incremental attempt included
     out.escalated = true;
     out.migration_cost = count_migration(*options.prior->coloring, out.coloring);
     return out;
@@ -145,7 +152,9 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
     DecomposeResult def = decompose(g, w, arm, splitter, ws);
     splitter.set_sweep_mode(SweepMode::Adaptive);
     DecomposeResult ada = decompose(g, w, arm, splitter, ws);
-    return ada.max_boundary < def.max_boundary ? ada : def;
+    DecomposeResult& won = ada.max_boundary < def.max_boundary ? ada : def;
+    won.total_seconds = call_timer.seconds();
+    return std::move(won);
   }
 
   DecomposeWorkspace local_ws;
@@ -159,7 +168,9 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
     DecomposeResult a = decompose(g, w, paper, splitter, &wsr);
     DecomposeResult b = decompose(g, w, bisect, splitter, &wsr);
     // Both are strictly balanced (or throw); keep the cheaper boundary.
-    return a.max_boundary <= b.max_boundary ? a : b;
+    DecomposeResult& won = a.max_boundary <= b.max_boundary ? a : b;
+    won.total_seconds = call_timer.seconds();
+    return std::move(won);
   }
 
   DecomposeResult out;

@@ -212,7 +212,7 @@ struct DecomposeResult {
   double avg_boundary = 0.0;   ///< final ||d chi^-1||_1 / k
   PhaseReport phase_multibalance, phase_strictify, phase_binpack, phase_refine;
   MinmaxRefineStats refine_stats;  ///< phase 4 move/round counters
-  double total_seconds = 0.0;      ///< end-to-end wall time
+  double total_seconds = 0.0;      ///< wall time of the whole call (all race arms)
   /// Vertices whose class differs from options.prior->coloring, or -1 when
   /// no prior was supplied (a cold solve has no migration to measure).
   long migration_cost = -1;

@@ -10,42 +10,49 @@ namespace mmd {
 
 std::vector<std::vector<Vertex>> iterative_partition(
     const Graph& g, std::span<const Vertex> u_list, MeasureRef psi,
-    double chunk_weight, ISplitter& splitter, double* cut_cost) {
+    double chunk_weight, ISplitter& splitter, double* cut_cost,
+    DecomposeWorkspace* ws) {
   MMD_REQUIRE(chunk_weight > 0.0, "chunk weight must be positive");
+  DecomposeWorkspace local_ws;
+  DecomposeWorkspace& wsr = ws ? *ws : local_ws;
   std::vector<std::vector<Vertex>> chunks;
-  std::vector<Vertex> rest(u_list.begin(), u_list.end());
-  Membership in_chunk(g.num_vertices());
+  // The remainder shrinks chunk by chunk between two leased buffers.
+  const auto rest = wsr.vertex_list();
+  const auto next = wsr.vertex_list();
+  rest->assign(u_list.begin(), u_list.end());
+  const auto in_chunk = wsr.membership(g.num_vertices());
 
-  double rest_weight = set_measure(psi, rest);
+  double rest_weight = set_measure(psi, *rest);
   const std::size_t max_chunks = u_list.size() + 2;
-  while (rest_weight > 3.0 * chunk_weight && !rest.empty()) {
+  while (rest_weight > 3.0 * chunk_weight && !rest->empty()) {
     MMD_REQUIRE(chunks.size() < max_chunks, "iterative_partition diverged");
-    const double wmax = set_measure_max(psi, rest);
+    const double wmax = set_measure_max(psi, *rest);
     SplitRequest req;
     req.g = &g;
-    req.w_list = rest;
+    req.w_list = *rest;
     req.weights = psi;
     req.target = chunk_weight + wmax / 2.0;  // window => [chunk, chunk+wmax]
     SplitResult x = splitter.split(req);
     if (cut_cost) *cut_cost += x.boundary_cost;
-    if (x.inside.empty() || x.inside.size() == rest.size()) break;  // degenerate
-    in_chunk.assign(x.inside);
-    rest = set_difference(rest, in_chunk);
+    if (x.inside.empty() || x.inside.size() == rest->size()) break;  // degenerate
+    in_chunk->assign(x.inside);
+    set_difference_into(*rest, *in_chunk, *next);
+    rest->swap(*next);
     rest_weight -= x.weight;
     chunks.push_back(std::move(x.inside));
   }
-  if (!rest.empty()) chunks.push_back(std::move(rest));
+  if (!rest->empty()) chunks.emplace_back(rest->begin(), rest->end());
   return chunks;
 }
 
 ExtractedPart extract_light_part(const Graph& g, std::span<const Vertex> u_list,
                                  MeasureRef psi, double chunk_weight,
                                  std::span<const MeasureRef> aux,
-                                 ISplitter& splitter) {
+                                 ISplitter& splitter, DecomposeWorkspace* ws) {
   ExtractedPart out;
   if (u_list.empty()) return out;
   auto chunks = iterative_partition(g, u_list, psi, chunk_weight, splitter,
-                                    &out.cut_cost);
+                                    &out.cut_cost, ws);
   MMD_ASSERT(!chunks.empty(), "partition produced no chunks");
 
   // Totals per auxiliary measure for normalized shares.
@@ -74,7 +81,7 @@ ExtractedPart extract_light_part(const Graph& g, std::span<const Vertex> u_list,
 ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_list,
                                    MeasureRef psi, double target,
                                    std::span<const MeasureRef> aux,
-                                   ISplitter& splitter) {
+                                   ISplitter& splitter, DecomposeWorkspace* ws) {
   ExtractedPart out;
   if (u_list.empty()) return out;
   const double total = set_measure(psi, u_list);
@@ -88,17 +95,18 @@ ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_lis
   // per-measure argmax chunks ...
   const auto r = std::max<std::size_t>(aux.size(), 1);
   const double chunk_weight = std::max(target / static_cast<double>(r + 1), 1e-300);
+  DecomposeWorkspace local_ws;
+  DecomposeWorkspace& wsr = ws ? *ws : local_ws;
   auto chunks = iterative_partition(g, u_list, psi, chunk_weight, splitter,
-                                    &out.cut_cost);
+                                    &out.cut_cost, &wsr);
   MMD_ASSERT(!chunks.empty(), "partition produced no chunks");
 
-  Membership taken(g.num_vertices());
-  taken.clear();
+  const auto taken = wsr.membership(g.num_vertices());
   double weight = 0.0;
   auto take_chunk = [&](std::size_t i) {
     for (Vertex v : chunks[i]) {
-      if (taken.contains(v)) continue;
-      taken.add(v);
+      if (taken->contains(v)) continue;
+      taken->add(v);
       out.part.push_back(v);
       weight += psi[static_cast<std::size_t>(v)];
     }
@@ -119,17 +127,15 @@ ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_lis
 
   // ... padded with a splitting set of the remainder up to the target.
   if (weight < target) {
-    std::vector<Vertex> rest;
-    rest.reserve(u_list.size());
-    for (Vertex v : u_list)
-      if (!taken.contains(v)) rest.push_back(v);
-    const double rest_max = set_measure_max(psi, rest);
+    const auto rest = wsr.vertex_list();
+    set_difference_into(u_list, *taken, *rest);
+    const double rest_max = set_measure_max(psi, *rest);
     SplitRequest req;
     req.g = &g;
-    req.w_list = rest;
+    req.w_list = *rest;
     req.weights = psi;
     req.target = std::min(target - weight + rest_max / 2.0,
-                          set_measure(psi, rest));
+                          set_measure(psi, *rest));
     SplitResult pad = splitter.split(req);
     out.cut_cost += pad.boundary_cost;
     for (Vertex v : pad.inside) {
@@ -154,21 +160,17 @@ void boundary_measure_of(const Graph& g, std::span<const Vertex> u_list,
   }
 }
 
-void boundary_measure_of(const Graph& g, std::span<const Vertex> u_list,
-                         std::vector<double>& scratch,
-                         std::vector<Vertex>& touched, Membership& in_u) {
-  if (scratch.size() != static_cast<std::size_t>(g.num_vertices())) {
-    scratch.assign(static_cast<std::size_t>(g.num_vertices()), 0.0);
-  } else {
-    for (const Vertex v : touched) scratch[static_cast<std::size_t>(v)] = 0.0;
-  }
-  touched.assign(u_list.begin(), u_list.end());
-  in_u.assign(u_list);
+void boundary_measure_by_class(const Graph& g, std::span<const Vertex> u_list,
+                               const Membership& in_w,
+                               std::span<const std::int32_t> class_of,
+                               std::span<double> out) {
   for (Vertex v : u_list) {
+    const std::int32_t c = class_of[static_cast<std::size_t>(v)];
     double s = 0.0;
     for (const HalfEdge& h : g.incidence(v))
-      if (!in_u.contains(h.to)) s += h.cost;
-    scratch[static_cast<std::size_t>(v)] = s;
+      if (!in_w.contains(h.to) || class_of[static_cast<std::size_t>(h.to)] != c)
+        s += h.cost;
+    out[static_cast<std::size_t>(v)] = s;
   }
 }
 

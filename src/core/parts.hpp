@@ -24,10 +24,13 @@ namespace mmd {
 /// Lemma 28 (procedure IterativePartition): partition U into chunks, each
 /// of Psi-weight >= chunk_weight (except possibly when U itself is
 /// lighter) and <= max(3*chunk_weight, chunk_weight + ||Psi|U||_inf).
-/// Adds the applied splitter cut costs to *cut_cost if given.
+/// Adds the applied splitter cut costs to *cut_cost if given.  `ws`
+/// (optional) lends the membership and remainder scratch, so a warm call
+/// allocates only the chunks it returns.
 std::vector<std::vector<Vertex>> iterative_partition(
     const Graph& g, std::span<const Vertex> u_list, MeasureRef psi,
-    double chunk_weight, ISplitter& splitter, double* cut_cost = nullptr);
+    double chunk_weight, ISplitter& splitter, double* cut_cost = nullptr,
+    DecomposeWorkspace* ws = nullptr);
 
 struct ExtractedPart {
   std::vector<Vertex> part;  ///< X, a subset of U
@@ -40,14 +43,16 @@ struct ExtractedPart {
 ExtractedPart extract_light_part(const Graph& g, std::span<const Vertex> u_list,
                                  MeasureRef psi, double chunk_weight,
                                  std::span<const MeasureRef> aux,
-                                 ISplitter& splitter);
+                                 ISplitter& splitter,
+                                 DecomposeWorkspace* ws = nullptr);
 
 /// Corollary 18 via Lemma 30: X with Psi(X) in [target, target + wmax]
 /// containing a maximal chunk of every measure in `aux`.
 ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_list,
                                    MeasureRef psi, double target,
                                    std::span<const MeasureRef> aux,
-                                   ISplitter& splitter);
+                                   ISplitter& splitter,
+                                   DecomposeWorkspace* ws = nullptr);
 
 /// The boundary measure of U: out[v] = c(delta(v) cap delta(U)) for v in U
 /// (0 elsewhere); written into `scratch` (resized to n, zeroed only at the
@@ -55,12 +60,15 @@ ExtractedPart extract_hitting_part(const Graph& g, std::span<const Vertex> u_lis
 void boundary_measure_of(const Graph& g, std::span<const Vertex> u_list,
                          std::vector<double>& scratch);
 
-/// Scratch-reusing variant: `touched` must be the u_list of the previous
-/// call on this scratch (so only those entries need re-zeroing) and is
-/// updated to the current one; `in_u` is clobbered.  O(|U| deg) per call
-/// instead of O(n).
-void boundary_measure_of(const Graph& g, std::span<const Vertex> u_list,
-                         std::vector<double>& scratch,
-                         std::vector<Vertex>& touched, Membership& in_u);
+/// The boundary measure of every class of a partial coloring at once:
+/// for v in u_list, out[v] = c(delta(v) cap delta(U_i)) where U_i is the
+/// class of v, i.e. the vertices u with in_w(u) and class_of[u] ==
+/// class_of[v].  Classes are disjoint, so one shared array holds all of
+/// them; entries outside u_list are left untouched.  O(|U| deg), no
+/// allocation.
+void boundary_measure_by_class(const Graph& g, std::span<const Vertex> u_list,
+                               const Membership& in_w,
+                               std::span<const std::int32_t> class_of,
+                               std::span<double> out);
 
 }  // namespace mmd

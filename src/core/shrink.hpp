@@ -29,18 +29,35 @@ struct ShrinkParams {
 };
 
 struct ShrinkOutput {
+  int k = 0;      ///< number of colors
+  Vertex n = 0;   ///< vertices of the graph the colorings range over
   std::vector<Vertex> w0, w1;
-  Coloring chi0;  ///< partial coloring: colored exactly on W0
+  std::vector<std::int32_t> c0;  ///< chi0 in compact form: color of w0[i]
   Coloring chi1;  ///< partial coloring: colored exactly on W1
   double cut_cost = 0.0;
+
+  /// chi0 as a partial coloring of the whole graph (colored exactly on
+  /// W0).  Built on demand: the recursion keeps only the compact form
+  /// alive, so its levels do not each pin an n-sized coloring.
+  Coloring chi0() const;
 };
 
 /// One shrinking step.  `w_list` is W; `chi` must color exactly W (all
-/// other vertices kUncolored).  `pi` is the splitting cost measure.
-/// `preserve` are additional measures the moved parts should stay light in
-/// (the Conclusion's multi-balanced variant feeds the user measures here).
+/// other vertices kUncolored); its storage is reused for the returned
+/// chi1, so a caller that moves it in pays no n-sized allocation.  `pi` is
+/// the splitting cost measure.  `preserve` are additional measures the
+/// moved parts should stay light in (the Conclusion's multi-balanced
+/// variant feeds the user measures here).
+///
+/// Parallelism: step (5)'s per-class extractions are independent, so when
+/// a thread pool is reachable through the splitter (and the caller is not
+/// itself a pooled task) they fan out over L = min(pool threads, k)
+/// splitter lanes — lane j extracts classes j, j+L, ... on its own lane
+/// workspace — and merge in class order on the calling thread.  The
+/// output is bit-identical for every thread count; the serial path is the
+/// same loop with L = 1.
 ShrinkOutput shrink_once(const Graph& g, std::span<const Vertex> w_list,
-                         const Coloring& chi, std::span<const double> w,
+                         Coloring chi, std::span<const double> w,
                          std::span<const double> pi, ISplitter& splitter,
                          const ShrinkParams& params = {},
                          std::span<const MeasureRef> preserve = {},

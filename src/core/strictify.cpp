@@ -20,8 +20,11 @@ struct Rec {
   DecomposeWorkspace& ws;
 
   /// Returns a coloring of exactly `w_list` (uncolored elsewhere), almost
-  /// strictly balanced w.r.t. w restricted to w_list.
-  Coloring run(std::span<const Vertex> w_list, const Coloring& chi, int depth) {
+  /// strictly balanced w.r.t. w restricted to w_list.  `chi` is taken by
+  /// value and handed on to shrink_once, which reuses its storage for
+  /// chi1, and chi1 moves on to the next level in turn: the recursion pins
+  /// only compact per-level lists, not two n-sized colorings per level.
+  Coloring run(std::span<const Vertex> w_list, Coloring chi, int depth) {
     stats.levels = std::max(stats.levels, depth + 1);
     const int k = chi.k;
     const double total = set_measure(w, w_list);
@@ -39,22 +42,22 @@ struct Rec {
       return binpack1(g, chi, w, zero, wmax, splitter, &stats.cut_cost, &ws);
     }
 
-    ShrinkOutput sh = shrink_once(g, w_list, chi, w, pi, splitter,
+    ShrinkOutput sh = shrink_once(g, w_list, std::move(chi), w, pi, splitter,
                                   params.shrink, preserve, &ws);
     stats.cut_cost += sh.cut_cost;
 
-    const Coloring chi1_hat = run(sh.w1, sh.chi1, depth + 1);
+    Coloring chi1_hat = run(sh.w1, std::move(sh.chi1), depth + 1);
     const std::vector<double> w1 = class_measure(w, chi1_hat);
 
-    Coloring chi0_tilde =
-        binpack1(g, sh.chi0, w, w1, wmax, splitter, &stats.cut_cost, &ws);
+    const Coloring chi0_tilde =
+        binpack1(g, sh.chi0(), w, w1, wmax, splitter, &stats.cut_cost, &ws);
 
     // Direct sum chi0_tilde + chi1_hat.
-    for (Vertex v : sh.w1) {
-      MMD_ASSERT(chi0_tilde[v] == kUncolored, "direct sum overlap");
-      chi0_tilde[v] = chi1_hat[v];
+    for (Vertex v : sh.w0) {
+      MMD_ASSERT(chi1_hat[v] == kUncolored, "direct sum overlap");
+      chi1_hat[v] = chi0_tilde[v];
     }
-    return chi0_tilde;
+    return chi1_hat;
   }
 };
 

@@ -43,6 +43,8 @@ std::size_t DecomposeWorkspace::memory_bytes() const {
             refine.seed.capacity()) *
            sizeof(Vertex);
   total += refine.class_dirty.capacity() * sizeof(std::uint8_t);
+  total += (shrink.deg.capacity() + shrink.bnd.capacity()) * sizeof(double) +
+           shrink.class_of.capacity() * sizeof(std::int32_t);
   return total;
 }
 

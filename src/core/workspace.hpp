@@ -54,6 +54,17 @@ struct RefineWorkspace {
   std::vector<Vertex> seed;               ///< dirty region handed to round 0
 };
 
+/// Vertex-indexed scratch of one shrink_once call (shrink.hpp): the
+/// deg_W and boundary extraction measures and the class-id map the
+/// boundary measure is computed from.  Sized to n on first use and reused,
+/// so strictify's working memory stays O(n) in total instead of O(n) per
+/// level.  Only entries of the current W are meaningful.
+struct ShrinkWorkspace {
+  std::vector<double> deg;                ///< deg_W measure
+  std::vector<double> bnd;                ///< per-class boundary measure
+  std::vector<std::int32_t> class_of;     ///< current class of v in W
+};
+
 class DecomposeWorkspace {
  public:
   // Both out-of-line (workspace.cpp): tree_scratch_ points to a type
@@ -141,13 +152,15 @@ class DecomposeWorkspace {
   MultiSplitTreeScratch& tree_scratch();
 
   /// Heap footprint of every pool this workspace owns (memberships, list
-  /// buffers, lane workspaces recursively, tree slots, refine scratch).
+  /// buffers, lane workspaces recursively, tree slots, refine and shrink
+  /// scratch).
   /// Grows monotonically with use, like the pools themselves; the service
   /// context cache reads it at request checkin to account warm state
   /// against its byte budget.
   std::size_t memory_bytes() const;
 
   RefineWorkspace refine;
+  ShrinkWorkspace shrink;
 
  private:
   friend class MembershipLease;

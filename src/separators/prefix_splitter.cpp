@@ -51,7 +51,12 @@ SplitResult PrefixSplitter::split(const SplitRequest& request) {
   // this split.
   SplitResult best, best_def;
   bool have_def = false;
-  if (thread_pool() != nullptr && candidates >= 2) {
+  // Inside a pooled task (a lane of multi_split's tree or of shrink's
+  // class fan-out) a nested run() would execute inline anyway, so the
+  // per-candidate evaluation slots would only cost memory: take the
+  // serial loop, bit-identical by the serial == parallel contract.
+  if (thread_pool() != nullptr && candidates >= 2 &&
+      !ThreadPool::on_worker_thread()) {
     best = split_parallel(request, stats, num_sweeps, morton, &best_def,
                           &have_def);
   } else {

@@ -9,6 +9,7 @@
 #include "instances/suite.hpp"
 #include "test_helpers.hpp"
 #include "util/norms.hpp"
+#include "util/timer.hpp"
 
 namespace mmd {
 namespace {
@@ -248,6 +249,29 @@ TEST(Decompose, BisectionInitRespectsTheoremBoundToo) {
   const DecomposeResult res = decompose(g, w, opt);
   EXPECT_TRUE(res.balance.strictly_balanced);
   EXPECT_LE(res.max_boundary, 5.0 * res.bound.b_max);
+}
+
+TEST(Decompose, RaceTotalSecondsCoversEveryArm) {
+  // InitMethod::Best and the adaptive best-of-both race return one arm's
+  // result, but total_seconds must report the whole call, losing arm
+  // included: at least half of the externally timed wall time.  (The
+  // winning arm alone is a small share when the loser is the slow one.)
+  const Graph g = make_grid_cube(2, 40);
+  const auto w = testing::weights_for(g, WeightModel::Uniform, 71);
+  DecomposeOptions best;
+  best.k = 8;
+  best.init = InitMethod::Best;
+  DecomposeOptions race;
+  race.k = 8;
+  race.sweep_mode = SweepMode::Adaptive;
+  race.adaptive_best_of_both = true;
+  for (const DecomposeOptions& opt : {best, race}) {
+    const Timer timer;
+    const DecomposeResult res = decompose(g, w, opt);
+    const double wall = timer.seconds();
+    EXPECT_GE(res.total_seconds, 0.5 * wall)
+        << (opt.init == InitMethod::Best ? "init=Best" : "adaptive race");
+  }
 }
 
 TEST(Decompose, DeterministicAcrossRuns) {

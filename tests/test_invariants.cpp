@@ -49,7 +49,7 @@ TEST(Definition13, ConditionA_Chi0AlmostStrict) {
   ShrinkSetup s;
   const auto out = shrink_once(s.g, s.vs, s.start(), s.w, s.pi, s.splitter);
   // chi0's classes all sit in a tight window around eps * Psi*.
-  const auto cw = class_measure(s.w, out.chi0);
+  const auto cw = class_measure(s.w, out.chi0());
   double lo = 1e300, hi = 0.0;
   for (double x : cw) {
     lo = std::min(lo, x);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <thread>
@@ -179,16 +180,23 @@ TEST_F(ServiceConcurrent, EvictReloadCyclesUnderTrafficNeverCorruptResults) {
   opt.k = 3;
   const DecomposeResult reference = decompose(g, ones(g), opt);
 
+  constexpr int kClients = 3;
   std::atomic<bool> stop{false};
+  std::atomic<int> clients_ready{0};
   std::atomic<long> ok_count{0}, not_found_count{0}, other_count{0};
   std::vector<std::thread> clients;
-  for (int ci = 0; ci < 3; ++ci) {
+  for (int ci = 0; ci < kClients; ++ci) {
     clients.emplace_back([&] {
+      bool seen_ok = false;
       while (!stop.load(std::memory_order_relaxed)) {
         ServiceRequest req;
         req.graph = "g";
         req.options.k = 3;
         const ServiceResponse resp = service.execute(req);
+        if (resp.status == ServiceStatus::Ok && !seen_ok) {
+          seen_ok = true;
+          ++clients_ready;
+        }
         if (resp.status == ServiceStatus::Ok) {
           // Bit-identity survives any interleaving with evict/reload.
           if (resp.coloring.color == reference.coloring.color) ++ok_count;
@@ -201,6 +209,15 @@ TEST_F(ServiceConcurrent, EvictReloadCyclesUnderTrafficNeverCorruptResults) {
       }
     });
   }
+  // Start the cycles only once every client is in its request loop (has
+  // seen one Ok): otherwise the 25 cycles can finish before any client is
+  // scheduled, and the test exercises nothing.  The wait is bounded so a
+  // service that never answers Ok fails the assertions below, not by hang.
+  const auto ready_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (clients_ready.load() < kClients &&
+         std::chrono::steady_clock::now() < ready_deadline)
+    std::this_thread::yield();
   // Hard evict/reload cycles (not atomic replacement): requests race into
   // real not-loaded windows and must come back NotFound, nothing worse.
   for (int cycle = 0; cycle < 25; ++cycle) {

@@ -40,19 +40,20 @@ TEST(Shrink, OutputPartitionsW) {
   const auto out =
       shrink_once(f.g, f.vs, f.weakly_balanced(), f.w, f.pi, f.splitter);
   EXPECT_EQ(out.w0.size() + out.w1.size(), f.vs.size());
+  const Coloring chi0 = out.chi0();
   Membership seen(f.g.num_vertices());
   seen.clear();
   for (Vertex v : out.w0) {
     EXPECT_FALSE(seen.contains(v));
     seen.add(v);
-    EXPECT_GE(out.chi0[v], 0);
+    EXPECT_GE(chi0[v], 0);
     EXPECT_EQ(out.chi1[v], kUncolored);
   }
   for (Vertex v : out.w1) {
     EXPECT_FALSE(seen.contains(v));
     seen.add(v);
     EXPECT_GE(out.chi1[v], 0);
-    EXPECT_EQ(out.chi0[v], kUncolored);
+    EXPECT_EQ(chi0[v], kUncolored);
   }
 }
 
@@ -63,7 +64,7 @@ TEST(Shrink, Chi0ClassWeightsNearEpsPsiStar) {
   const auto out = shrink_once(f.g, f.vs, f.weakly_balanced(), f.w, f.pi,
                                f.splitter, params);
   const double psi_star = norm1(f.w) / f.k;
-  const auto cw0 = class_measure(f.w, out.chi0);
+  const auto cw0 = class_measure(f.w, out.chi0());
   for (double x : cw0) {
     // Definition 13 a): wchi0(i) - eps*Psi* in [0, ||w||_inf] (generous
     // +-1 slack for the practical splitter windows).
