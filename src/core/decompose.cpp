@@ -15,13 +15,11 @@
 
 namespace mmd {
 
-namespace {
-
-std::unique_ptr<ISplitter> build_splitter(const Graph& g, SplitterKind kind,
-                                          const PrefixSplitterOptions& prefix) {
+std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
+                                                 SplitterKind kind) {
   switch (kind) {
     case SplitterKind::Prefix:
-      return std::make_unique<PrefixSplitter>(prefix);
+      return std::make_unique<PrefixSplitter>();
     case SplitterKind::Grid:
       return std::make_unique<GridSplitter>();
     case SplitterKind::Auto:
@@ -31,30 +29,18 @@ std::unique_ptr<ISplitter> build_splitter(const Graph& g, SplitterKind kind,
     // Keep Theorem 19's guarantee *and* the sweeps' practical quality.
     std::vector<std::unique_ptr<ISplitter>> children;
     children.push_back(std::make_unique<GridSplitter>());
-    children.push_back(std::make_unique<PrefixSplitter>(prefix));
+    children.push_back(std::make_unique<PrefixSplitter>());
     return std::make_unique<CompositeSplitter>(std::move(children));
   }
-  return std::make_unique<PrefixSplitter>(prefix);
-}
-
-}  // namespace
-
-std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
-                                                 SplitterKind kind) {
-  return build_splitter(g, kind, PrefixSplitterOptions{});
+  return std::make_unique<PrefixSplitter>();
 }
 
 std::unique_ptr<ISplitter> make_default_splitter(const Graph& g,
                                                  const DecomposeOptions& options) {
-  PrefixSplitterOptions prefix;
-  prefix.window_scan = options.window_scan;
-  std::unique_ptr<ISplitter> s = build_splitter(g, options.splitter, prefix);
-  // Stamp the sweep policy on the splitter itself, whatever its kind.
-  // (Historically window_scan was forwarded only into
-  // PrefixSplitterOptions, so the grid/composite — and every
-  // coordinate-driven — path silently dropped the request.)
-  s->set_sweep_mode(effective_sweep_mode(options));
-  s->set_adaptive_margin(options.adaptive_margin);
+  std::unique_ptr<ISplitter> s = make_default_splitter(g, options.splitter);
+  // Stamp the sweep mode on the splitter itself, whatever its kind, so the
+  // grid, composite and every coordinate-driven path honor it too.
+  s->set_sweep_mode(options.sweep_mode);
   return s;
 }
 
@@ -104,6 +90,7 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
   MMD_REQUIRE(options.p > 1.0, "p must exceed 1");
   MMD_REQUIRE(static_cast<Vertex>(w.size()) == g.num_vertices(),
               "weight arity mismatch");
+  MMD_REQUIRE(std::isfinite(norm1(w)), "total vertex weight must be finite");
   // Stamp the execution control and diagnostics sink on the splitter tree
   // (they propagate to lanes), then checkpoint before doing any work: an
   // already-expired deadline must throw here, not after a phase ran.
@@ -111,10 +98,10 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
   splitter.set_diagnostics(options.diagnostics);
   options.exec.check();
 
-  // The race layers below (incremental escalation, the adaptive
-  // best-of-both arms, InitMethod::Best) return one arm's result; its
-  // total_seconds is overwritten with this call's wall time, so the
-  // report covers the work of every arm, the losing ones included.
+  // The race layers below (incremental escalation, InitMethod::Best)
+  // return one arm's result; its total_seconds is overwritten with this
+  // call's wall time, so the report covers the work of every arm, the
+  // losing ones included.
   Timer call_timer;
 
   if (options.prior != nullptr) {
@@ -131,30 +118,6 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
     out.escalated = true;
     out.migration_cost = count_migration(*options.prior->coloring, out.coloring);
     return out;
-  }
-
-  if (options.adaptive_best_of_both &&
-      splitter.sweep_mode() == SweepMode::Adaptive) {
-    // Pipeline-level never-worse-than-default: the per-split dual track
-    // bounds each split, but phase interactions (strictify, binpack,
-    // refinement) could still let a cheaper split lead to a costlier
-    // coloring — so race a default-rule arm against the adaptive one and
-    // keep the cheaper strictly balanced result, ties to default (the
-    // InitMethod::Best pattern applied to the sweep policy).  The guard
-    // restores the stamped mode even if an arm throws.
-    struct ModeGuard {
-      ISplitter& s;
-      ~ModeGuard() { s.set_sweep_mode(SweepMode::Adaptive); }
-    } guard{splitter};
-    DecomposeOptions arm = options;
-    arm.adaptive_best_of_both = false;
-    splitter.set_sweep_mode(SweepMode::BetterOfTwo);
-    DecomposeResult def = decompose(g, w, arm, splitter, ws);
-    splitter.set_sweep_mode(SweepMode::Adaptive);
-    DecomposeResult ada = decompose(g, w, arm, splitter, ws);
-    DecomposeResult& won = ada.max_boundary < def.max_boundary ? ada : def;
-    won.total_seconds = call_timer.seconds();
-    return std::move(won);
   }
 
   DecomposeWorkspace local_ws;
@@ -377,6 +340,7 @@ MultiDecomposeResult decompose_multi(const Graph& g, std::span<const double> psi
   MMD_REQUIRE(options.p > 1.0, "p must exceed 1");
   MMD_REQUIRE(static_cast<Vertex>(psi.size()) == g.num_vertices(),
               "psi arity mismatch");
+  MMD_REQUIRE(std::isfinite(norm1(psi)), "total psi weight must be finite");
   for (const MeasureRef& m : extra_measures)
     MMD_REQUIRE(static_cast<Vertex>(m.size()) == g.num_vertices(),
                 "extra measure arity mismatch");

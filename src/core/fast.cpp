@@ -133,8 +133,7 @@ ISplitter& FastContext::fine_splitter() {
   // Re-stamped per call like fork_depth: all of these are per-call state.
   fine_splitter_->set_exec_control(options_.inner.exec);
   fine_splitter_->set_diagnostics(options_.inner.diagnostics);
-  fine_splitter_->set_sweep_mode(effective_sweep_mode(options_.inner));
-  fine_splitter_->set_adaptive_margin(options_.inner.adaptive_margin);
+  fine_splitter_->set_sweep_mode(options_.inner.sweep_mode);
   return *fine_splitter_;
 }
 
@@ -142,6 +141,7 @@ FastResult FastContext::decompose(std::span<const double> w) {
   ExclusiveUse::Claim claim = claim_use();
   MMD_REQUIRE(static_cast<Vertex>(w.size()) == g_->num_vertices(),
               "weight arity mismatch");
+  MMD_REQUIRE(std::isfinite(norm1(w)), "total vertex weight must be finite");
   const ExecControl exec = options_.inner.exec;
   exec.check();  // an already-expired deadline throws before any work
   Timer timer;

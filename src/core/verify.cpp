@@ -38,7 +38,10 @@ VerifyReport verify_decomposition(const Graph& g, std::span<const double> w,
   rep.strictly_balanced = bal.strictly_balanced;
   rep.max_dev = bal.max_dev;
   rep.strict_bound = bal.strict_bound;
-  if (!bal.strictly_balanced)
+  if (!bal.finite)
+    fail("strict balance unverifiable: total or class weight sum is not "
+         "finite");
+  else if (!bal.strictly_balanced)
     fail("strict balance violated: max deviation " +
          std::to_string(bal.max_dev) + " > (1-1/k)||w||_inf = " +
          std::to_string(bal.strict_bound));

@@ -65,15 +65,24 @@ BalanceReport balance_report(std::span<const double> w, const Coloring& chi,
   MMD_REQUIRE(chi.k >= 1, "coloring with no colors");
   BalanceReport rep;
   rep.wmax = norm_inf(w);
-  rep.avg = norm1(w) / chi.k;
+  const double total = norm1(w);
+  rep.avg = total / chi.k;
   const auto cw = class_measure(w, chi);
   rep.max_class = norm_inf(cw);
   rep.min_class = cw.empty() ? 0.0 : *std::min_element(cw.begin(), cw.end());
-  for (double x : cw) rep.max_dev = std::max(rep.max_dev, std::abs(x - rep.avg));
+  rep.finite = std::isfinite(total);
+  for (double x : cw) {
+    rep.finite = rep.finite && std::isfinite(x);
+    rep.max_dev = std::max(rep.max_dev, std::abs(x - rep.avg));
+  }
   rep.strict_bound = (1.0 - 1.0 / chi.k) * rep.wmax;
+  // An overflowed sum would also make the slack infinite and pass any
+  // comparison, so non-finite sums fail both verdicts outright.
   const double slack = eps_rel * std::max(rep.wmax, rep.avg) + 1e-300;
-  rep.strictly_balanced = rep.max_dev <= rep.strict_bound + slack;
-  rep.almost_strictly_balanced = rep.max_dev <= 2.0 * rep.wmax + slack;
+  rep.strictly_balanced =
+      rep.finite && rep.max_dev <= rep.strict_bound + slack;
+  rep.almost_strictly_balanced =
+      rep.finite && rep.max_dev <= 2.0 * rep.wmax + slack;
   return rep;
 }
 

@@ -64,12 +64,15 @@ struct BalanceReport {
   double strict_bound = 0.0;  ///< (1 - 1/k) * ||w||_inf
   double max_class = 0.0;
   double min_class = 0.0;
+  bool finite = true;  ///< ||w||_1 and every class sum are finite
   bool strictly_balanced = false;        ///< max_dev <= strict_bound (+eps)
   bool almost_strictly_balanced = false; ///< max_dev <= 2*||w||_inf (+eps)
 };
 
 /// Evaluate balance of chi w.r.t. weights w.  `eps_rel` is the relative
-/// tolerance applied to the comparison (floating-point slack).
+/// tolerance applied to the comparison (floating-point slack).  Fails
+/// closed: when the total or any class sum is not finite (overflow, NaN),
+/// neither balance verdict holds, whatever max_dev reads.
 BalanceReport balance_report(std::span<const double> w, const Coloring& chi,
                              double eps_rel = 1e-9);
 

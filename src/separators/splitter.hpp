@@ -142,15 +142,16 @@ class ISplitter {
   /// children) honors one setting without options plumbing.  Stamping a
   /// non-default mode onto a splitter whose supports_sweep_mode rejects it
   /// reports a one-time SweepModeUnsupported diagnostic instead of
-  /// silently evaluating with the seed rule (the historical window_scan
+  /// silently evaluating with the seed rule (the historical WindowMin
   /// drop on geometric paths).
   void set_sweep_mode(SweepMode mode);
   SweepMode sweep_mode() const { return sweep_mode_; }
 
-  /// Relative acceptance margin of SweepMode::Adaptive; ignored by the
-  /// other modes.  Propagated and re-stamped exactly like the mode.
+  /// No effect.  The margin belonged to a removed sweep mode; the call
+  /// still rejects values outside [0, 1) and runs the hook below, so
+  /// existing callers and decorators keep compiling.  Scheduled for
+  /// removal.
   void set_adaptive_margin(double margin);
-  double adaptive_margin() const { return adaptive_margin_; }
 
   /// Whether split() actually honors `mode`.  The default claims only the
   /// seed rule; every sweep-evaluating implementation overrides this.
@@ -172,6 +173,8 @@ class ISplitter {
     (void)diag;
   }
   virtual void on_sweep_mode_changed(SweepMode mode) { (void)mode; }
+  /// No effect in the library (see set_adaptive_margin); kept for
+  /// decorators that override it.  Scheduled for removal.
   virtual void on_adaptive_margin_changed(double margin) { (void)margin; }
 
   /// Call at the top of every split() implementation: the deterministic
@@ -189,7 +192,6 @@ class ISplitter {
   ExecControl exec_;
   DecomposeDiagnostics* diag_ = nullptr;
   SweepMode sweep_mode_ = SweepMode::BetterOfTwo;
-  double adaptive_margin_ = kDefaultAdaptiveMargin;
   std::vector<std::unique_ptr<ISplitter>> lanes_;
   bool lanes_unsupported_ = false;
   bool lane_fallback_reported_ = false;

@@ -105,31 +105,24 @@ SweepEvalResult SweepEval::eval(const Graph& g, std::span<const Vertex> order,
                                 std::span<const double> weights, double target,
                                 const SubsetWeightStats& stats,
                                 const Membership& in_w, Membership& in_u,
-                                SweepMode mode, double prune_bound,
-                                double margin) {
+                                SweepMode mode, double prune_bound) {
   const double t = std::clamp(target, 0.0, stats.total);
   SweepEvalResult out;
-  // Adaptive needs the exact b2 cost of every candidate for its margin
-  // rule (and for the caller's default-track reduction), so the caller's
-  // incumbent bound must not truncate it — serial and parallel candidate
-  // paths then see identical, unpruned evaluations.
-  if (mode == SweepMode::Adaptive)
-    prune_bound = std::numeric_limits<double>::infinity();
 
   // --- locate the candidate prefixes -----------------------------------
   // The weight accumulation below is the exact arithmetic sequence of
   // best_prefix (acc += w in order sequence), so the BetterOfTwo choice is
   // bit-identical to the seed rule, and prefix weights are bit-identical
   // to a set_measure over the prefix.
-  std::size_t b2 = 0;        // better-of-two prefix length
-  double b2_weight = 0.0;    // w(prefix of length b2)
+  std::size_t cross = 0;      // better-of-two prefix length
+  double cross_weight = 0.0;  // w(prefix of length cross)
   std::size_t win = order.size() + 1;  // WindowMin argmin (sentinel: none)
   double win_weight = 0.0;
 
   if (mode == SweepMode::BetterOfTwo) {
     const ChosenPrefix c = crossing_prefix(order, weights, t);
-    b2 = c.len;
-    b2_weight = c.weight;
+    cross = c.len;
+    cross_weight = c.weight;
   } else {
     // One incremental scan: running prefix weight and running boundary
     // cost via per-vertex deltas (edges leaving the prefix added, edges
@@ -158,8 +151,8 @@ SweepEvalResult SweepEval::eval(const Graph& g, std::span<const Vertex> order,
       if (!crossed && acc + w > t) {
         // The crossing: record the seed's better-of-two choice.
         const ChosenPrefix c = better_of_two(i, acc, w, t);
-        b2 = c.len;
-        b2_weight = c.weight;
+        cross = c.len;
+        cross_weight = c.weight;
         crossed = true;
       }
       if (acc - t > window) break;  // left the window for good
@@ -179,8 +172,8 @@ SweepEvalResult SweepEval::eval(const Graph& g, std::span<const Vertex> order,
       }
     }
     if (!crossed) {  // target == total: the full order is the crossing
-      b2 = order.size();
-      b2_weight = acc;
+      cross = order.size();
+      cross_weight = acc;
     }
   }
 
@@ -189,31 +182,19 @@ SweepEvalResult SweepEval::eval(const Graph& g, std::span<const Vertex> order,
   // term order as boundary_cost_within, so the default mode is
   // bit-identical to the recompute path and WindowMin's running-delta
   // rounding never leaks into reported costs or downstream decisions.
-  assign_prefix(in_u, order, b2);
-  bool b2_pruned = false;
-  const double b2_cost = exact_prefix_cost(g, order.first(b2), in_u, in_w,
-                                           prune_bound, b2_pruned);
+  assign_prefix(in_u, order, cross);
+  out.prefix_len = cross;
+  out.weight = cross_weight;
+  out.cost = exact_prefix_cost(g, order.first(cross), in_u, in_w, prune_bound,
+                               out.pruned);
 
-  out.prefix_len = b2;
-  out.weight = b2_weight;
-  out.cost = b2_cost;
-  out.pruned = b2_pruned;
-  out.b2_prefix_len = b2;
-  out.b2_weight = b2_weight;
-  out.b2_cost = b2_cost;
-  out.b2_pruned = b2_pruned;
-
-  if (mode != SweepMode::BetterOfTwo && win <= order.size() && win != b2) {
-    // WindowMin: the window argmin must beat the (possibly pruned)
-    // better-of-two prefix strictly — ties keep the seed's choice — and
-    // the incumbent bound still applies.  Adaptive: it must beat the
-    // (always exact) better-of-two cost by the relative margin, which the
-    // shrunken bound below enforces — an unpruned win evaluation is
-    // provably strictly below (1 - margin) * b2_cost.
+  if (mode == SweepMode::WindowMin && win <= order.size() && win != cross) {
+    // The window argmin must beat the (possibly pruned) better-of-two
+    // prefix strictly — ties keep the seed's choice — and the incumbent
+    // bound still applies.
+    const bool cross_pruned = out.pruned;
     const double bound =
-        mode == SweepMode::Adaptive
-            ? (1.0 - margin) * b2_cost
-            : (b2_pruned ? prune_bound : std::min(prune_bound, b2_cost));
+        cross_pruned ? prune_bound : std::min(prune_bound, out.cost);
     assign_prefix(in_u, order, win);
     bool win_pruned = false;
     const double win_cost = exact_prefix_cost(g, order.first(win), in_u, in_w,
@@ -223,9 +204,8 @@ SweepEvalResult SweepEval::eval(const Graph& g, std::span<const Vertex> order,
       out.weight = win_weight;
       out.cost = win_cost;
       out.pruned = false;
-      out.window_taken = true;
-    } else if (!b2_pruned) {
-      assign_prefix(in_u, order, b2);  // restore in_u = reported prefix
+    } else if (!cross_pruned) {
+      assign_prefix(in_u, order, cross);  // restore in_u = reported prefix
     }
   }
   return out;

@@ -220,8 +220,8 @@ case "$mem_out" in
 esac
 
 # 16. --sweep-mode: the explicit default spelling is byte-identical to the
-#     flagless run; window and adaptive run clean; a bogus value is bad
-#     usage.  (--window-scan stays the legacy alias for window.)
+#     flagless run; window runs clean; a bogus value, the removed
+#     "adaptive" mode and the removed --window-scan alias are bad usage.
 "$bin" -k 3 --quiet --sweep-mode default -o "$tmp/sm_def.part" "$good"
 check "--sweep-mode default" 0 $?
 cmp -s "$tmp/out.part" "$tmp/sm_def.part" || {
@@ -230,25 +230,29 @@ cmp -s "$tmp/out.part" "$tmp/sm_def.part" || {
 }
 "$bin" -k 3 --quiet --sweep-mode window -o "$tmp/sm_win.part" "$good"
 check "--sweep-mode window" 0 $?
-"$bin" -k 3 --quiet --sweep-mode adaptive -o "$tmp/sm_ada.part" "$good"
-check "--sweep-mode adaptive" 0 $?
-[ -s "$tmp/sm_ada.part" ] || { echo "FAIL: no adaptive partition written" >&2; fails=$((fails + 1)); }
+[ -s "$tmp/sm_win.part" ] || { echo "FAIL: no window partition written" >&2; fails=$((fails + 1)); }
 "$bin" -k 3 --quiet --sweep-mode sideways "$good" 2> /dev/null
 check "--sweep-mode bogus value" 2 $?
+"$bin" -k 3 --quiet --sweep-mode adaptive "$good" 2> /dev/null
+check "--sweep-mode adaptive (removed)" 2 $?
+"$bin" -k 3 --quiet --window-scan "$good" 2> /dev/null
+check "--window-scan (removed)" 2 $?
 
-# 17. --serve honors the sweep_mode request field: valid values answer ok,
-#     an unknown value is an in-band bad_request and the session survives.
+# 17. --serve honors the sweep_mode request field: valid values answer ok;
+#     an unknown value and the removed "adaptive" mode are in-band
+#     bad_requests, and the session survives both.
 sm_out="$tmp/serve_sm.out"
 {
   echo '{"op":"load","graph":"g","path":"'"$good"'"}'
   echo '{"op":"decompose","graph":"g","k":3,"sweep_mode":"adaptive"}'
   echo '{"op":"decompose","graph":"g","k":3,"sweep_mode":"sideways"}'
   echo '{"op":"decompose","graph":"g","k":3,"sweep_mode":"window"}'
+  echo '{"op":"decompose","graph":"g","k":3,"sweep_mode":"default"}'
 } | "$bin" --serve > "$sm_out"
 check "--serve sweep_mode session, EOF exit" 0 $?
 sm_line() { sed -n "${1}p" "$sm_out"; }
 case "$(sm_line 2)" in
-  *'"status":"ok"'*) echo "ok: serve sweep_mode adaptive" ;;
+  *'"status":"bad_request"'*) echo "ok: serve sweep_mode adaptive rejected in-band" ;;
   *) echo "FAIL: serve sweep_mode adaptive: $(sm_line 2)" >&2; fails=$((fails + 1)) ;;
 esac
 case "$(sm_line 3)" in
@@ -258,6 +262,10 @@ esac
 case "$(sm_line 4)" in
   *'"status":"ok"'*) echo "ok: serve sweep_mode window (session survived)" ;;
   *) echo "FAIL: serve sweep_mode window: $(sm_line 4)" >&2; fails=$((fails + 1)) ;;
+esac
+case "$(sm_line 5)" in
+  *'"status":"ok"'*) echo "ok: serve sweep_mode default" ;;
+  *) echo "FAIL: serve sweep_mode default: $(sm_line 5)" >&2; fails=$((fails + 1)) ;;
 esac
 
 # 18. trace_replay strict argument parsing: malformed numeric flags are

@@ -81,9 +81,6 @@ class PooledSplitProbe final : public ISplitter {
   void on_sweep_mode_changed(SweepMode mode) override {
     inner_->set_sweep_mode(mode);
   }
-  void on_adaptive_margin_changed(double margin) override {
-    inner_->set_adaptive_margin(margin);
-  }
 
  private:
   std::unique_ptr<PrefixSplitter> inner_;

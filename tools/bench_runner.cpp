@@ -12,8 +12,8 @@
 //     "eval-incremental" (PR 4: the SweepEval engine in its default
 //     better-of-two mode — the same rows as ctx-warm, named so the
 //     candidate-evaluation rework is directly attributable), and
-//     "eval-window" (PR 4: window_scan mode, cheapest prefix inside the
-//     hard weight window — max_boundary_vs_seed <= 0 expected everywhere).
+//     "eval-window" (SweepMode::WindowMin: the cheapest prefix inside
+//     the hard weight window).
 //     Besides the unit-weight n/k sweeps, a few heavy-tailed weighted
 //     grids (w-sweep-h*) exercise the wide-window regime where the
 //     window rule actually has candidates to choose from;
@@ -40,9 +40,12 @@
 // (not runtime) rows across the workload matrix where the prefix rule
 // matters — triangulated meshes, the weighted climate instance, heavy-
 // tailed meshes, anisotropic and 3-D geometric graphs, and a METIS-file
-// round trip — in modes "default" / "window" / "adaptive" (SweepMode)
-// plus an "orb" baseline column (orthogonal recursive coordinate
-// bisection, the classical mesh-library default).
+// round trip — in modes "default" / "window" (SweepMode) under the
+// library-default paper init, the same two under init = Bisection, plus an
+// "orb" baseline column (orthogonal recursive coordinate bisection, the
+// classical mesh-library default).  Every E13 coloring is certified with
+// verify_decomposition; the runner exits non-zero when a decompose row is
+// not strictly balanced or any row is not total.
 //
 // Usage: bench_runner [output.json] [--label name]
 //                     [--e12 | --e12-smoke | --e13 | --e13-smoke]
@@ -59,6 +62,7 @@
 #include "baselines/recursive_bisection.hpp"
 #include "core/decompose.hpp"
 #include "core/refine.hpp"
+#include "core/verify.hpp"
 #include "gen/geometric.hpp"
 #include "gen/grid.hpp"
 #include "gen/mesh.hpp"
@@ -92,20 +96,6 @@ struct HasEngine : std::false_type {};
 template <typename T>
 struct HasEngine<T, std::void_t<decltype(T::engine)>> : std::true_type {};
 
-// Detect DecomposeOptions::window_scan (PR 4's SweepEval modes) so one
-// runner source still compiles against older trees.
-template <typename T, typename = void>
-struct HasWindowScan : std::false_type {};
-template <typename T>
-struct HasWindowScan<T, std::void_t<decltype(T::window_scan)>> : std::true_type {};
-
-template <typename Opt>
-auto set_window_scan(Opt& o, bool on, int) -> decltype((void)o.window_scan) {
-  o.window_scan = on;
-}
-template <typename Opt>
-void set_window_scan(Opt&, bool, long) {}
-
 // Set the refinement engine when the library has one (overload ranking:
 // the int overload wins when `o.engine` is well-formed).
 template <typename Opt>
@@ -125,9 +115,12 @@ struct Row {
   std::size_t peak_rss = 0;     // stamped at push time (monotone)
   long long m = 0;              // edge count (E12 rows)
   std::size_t graph_bytes = 0;  // Graph::memory_bytes (E12 rows)
+  int strict = -1, total = -1;  // verify_decomposition flags (E13 rows)
 };
 
 std::vector<Row> g_rows;
+/// E13 rows whose certificate failed; main() exits non-zero when any did.
+int g_uncertified = 0;
 
 std::size_t process_peak_rss() {
 #ifdef MMD_BENCH_HAS_RSS
@@ -149,7 +142,7 @@ int reps_for(int side) { return side >= 256 ? 7 : 9; }
 /// Deterministic heavy-tailed vertex weights (LCG; ~1/8 of the vertices
 /// carry weight `heavy`, the rest 1.0).  Inline so the seed binary and
 /// the current binary bench the exact same instance: a wide hard window
-/// (||w||_inf/2 = heavy/2) is where the window_scan prefix rule has room
+/// (||w||_inf/2 = heavy/2) is where the WindowMin prefix rule has room
 /// to act, unlike the unit-weight sweeps whose window admits at most the
 /// two crossing prefixes.
 std::vector<double> heavy_weights(int n, double heavy, std::uint64_t seed) {
@@ -231,25 +224,23 @@ void bench_decompose(const char* config, int side, int k, double heavy = 0.0) {
 
   // PR 4's SweepEval modes on the warm context path: the default
   // better-of-two rule (must merge to max_boundary_vs_seed = 0) and the
-  // window_scan rule (cheapest in-window prefix; <= 0 everywhere).
-  if constexpr (HasWindowScan<DecomposeOptions>::value) {
-    for (const bool window : {false, true}) {
-      DecomposeOptions copt = opt;
-      set_window_scan(copt, window, 0);
-      Row row{"decompose_grid2d", config,
-              side,              g.num_vertices(),
-              k,                 window ? "eval-window" : "eval-incremental",
-              1e300,             0.0};
-      DecomposeContext ctx(g, copt);
-      for (int r = 0; r < reps + 1; ++r) {
-        Timer t;
-        const DecomposeResult res = ctx.decompose(w);
-        if (r == 0) continue;
-        row.ms = std::min(row.ms, t.seconds() * 1e3);
-        row.max_boundary = res.max_boundary;
-      }
-      push_row(row);
+  // WindowMin rule (cheapest in-window prefix).
+  for (const bool window : {false, true}) {
+    DecomposeOptions copt = opt;
+    copt.sweep_mode = window ? SweepMode::WindowMin : SweepMode::BetterOfTwo;
+    Row row{"decompose_grid2d", config,
+            side,              g.num_vertices(),
+            k,                 window ? "eval-window" : "eval-incremental",
+            1e300,             0.0};
+    DecomposeContext ctx(g, copt);
+    for (int r = 0; r < reps + 1; ++r) {
+      Timer t;
+      const DecomposeResult res = ctx.decompose(w);
+      if (r == 0) continue;
+      row.ms = std::min(row.ms, t.seconds() * 1e3);
+      row.max_boundary = res.max_boundary;
     }
+    push_row(row);
   }
 #endif
 }
@@ -461,49 +452,78 @@ void bench_e12(bool smoke) {
 // Quality rows (max_boundary is the headline number; ms is informational)
 // across workloads where the choice of prefix rule actually matters.
 // Modes per instance:
-//   * "default"  — SweepMode::BetterOfTwo, the seed's crossing-prefix rule.
-//     These rows are their own seed references, so after the merge their
-//     max_boundary_vs_seed must be exactly 0.
+//   * "default"  — SweepMode::BetterOfTwo, the seed's crossing-prefix rule,
+//     library-default init = Paper.  These rows are their own seed
+//     references, so after the merge their max_boundary_vs_seed must be
+//     exactly 0.
 //   * "window"   — SweepMode::WindowMin (PR 4): cheapest in-window prefix.
 //     Strong on wide windows (heavy-tailed weights), can regress when the
-//     window is narrow — the behavior that motivated the adaptive policy.
-//   * "adaptive" — SweepMode::Adaptive (PR 10): takes the window pick only
-//     when it beats the crossing prefix by the margin; with the best-of-
-//     both race it is never worse than "default" on any instance.
+//     window is narrow.
+//   * "bisection" / "bisection-window" — the same two rules under
+//     init = Bisection, the arm InitMethod::Best returns on every E13 row.
+//     Together the four rows are the time x max_boundary frontier that
+//     keeps both prefix rules (docs/BENCHMARKS.md).
 //   * "orb"      — orthogonal recursive coordinate bisection, the classical
 //     mesh-partitioner baseline column (requires coordinates, so the METIS
 //     round-trip row — which drops them — has no orb line).
+// Every row's coloring is certified with verify_decomposition and the
+// row carries the strict/total flags.  A decompose row must be strict and
+// every row total, or the runner exits non-zero; orb promises no strict
+// window, so its strict flag is informational.
+
+/// Certify `chi` into `row` and count a failure against g_uncertified.
+void certify_e13_row(Row& row, const Graph& g, const std::vector<double>& w,
+                     const Coloring& chi, bool must_be_strict) {
+  const VerifyReport rep = verify_decomposition(g, w, chi);
+  row.strict = rep.strictly_balanced ? 1 : 0;
+  row.total = rep.total ? 1 : 0;
+  if (!rep.total || (must_be_strict && !rep.strictly_balanced)) {
+    ++g_uncertified;
+    std::fprintf(stderr, "uncertified E13 row %s/%s:%s\n", row.config.c_str(),
+                 row.mode.c_str(),
+                 rep.failures.empty() ? "" : (" " + rep.failures[0]).c_str());
+  }
+}
 
 void bench_e13_instance(const char* config, const Graph& g,
                         const std::vector<double>& w, int k, int reps) {
   struct ModeSpec {
     const char* name;
+    InitMethod init;
     SweepMode mode;
   };
-  constexpr ModeSpec kModes[] = {{"default", SweepMode::BetterOfTwo},
-                                 {"window", SweepMode::WindowMin},
-                                 {"adaptive", SweepMode::Adaptive}};
+  constexpr ModeSpec kModes[] = {
+      {"default", InitMethod::Paper, SweepMode::BetterOfTwo},
+      {"window", InitMethod::Paper, SweepMode::WindowMin},
+      {"bisection", InitMethod::Bisection, SweepMode::BetterOfTwo},
+      {"bisection-window", InitMethod::Bisection, SweepMode::WindowMin}};
   for (const ModeSpec& m : kModes) {
     DecomposeOptions opt;
     opt.k = k;
+    opt.init = m.init;
     opt.sweep_mode = m.mode;
     Row row{"e13_quality", config, 0, g.num_vertices(), k, m.name, 1e300, 0.0};
+    Coloring chi;
     for (int r = 0; r < reps; ++r) {
       Timer t;
-      const DecomposeResult res = decompose(g, w, opt);
+      DecomposeResult res = decompose(g, w, opt);
       row.ms = std::min(row.ms, t.seconds() * 1e3);
       row.max_boundary = res.max_boundary;
+      chi = std::move(res.coloring);
     }
+    certify_e13_row(row, g, w, chi, /*must_be_strict=*/true);
     push_row(row);
   }
   if (g.has_coords()) {
     Row row{"e13_quality", config, 0, g.num_vertices(), k, "orb", 1e300, 0.0};
+    Coloring chi;
     for (int r = 0; r < reps; ++r) {
       Timer t;
-      const Coloring chi = orthogonal_recursive_bisection(g, w, k);
+      chi = orthogonal_recursive_bisection(g, w, k);
       row.ms = std::min(row.ms, t.seconds() * 1e3);
       row.max_boundary = max_boundary_cost(g, chi);
     }
+    certify_e13_row(row, g, w, chi, /*must_be_strict=*/false);
     push_row(row);
   }
 }
@@ -511,8 +531,8 @@ void bench_e13_instance(const char* config, const Graph& g,
 void bench_e13(bool smoke) {
   const int reps = smoke ? 1 : 2;
 
-  // Unit-weight triangulated mesh: the narrow-window regime (window admits
-  // at most the crossing prefixes), so adaptive must cost nothing here.
+  // Unit-weight triangulated mesh: the narrow-window regime (the window
+  // admits at most the crossing prefixes).
   {
     const int side = smoke ? 48 : 96;
     const Graph g = make_tri_mesh(side, side);
@@ -636,6 +656,10 @@ int main(int argc, char** argv) {
     const Row& r = g_rows[i];
     std::string extra =
         r.moves >= 0 ? ", \"moves\": " + std::to_string(r.moves) : "";
+    if (r.strict >= 0) {
+      extra += std::string(", \"strict\": ") + (r.strict ? "true" : "false");
+      extra += std::string(", \"total\": ") + (r.total ? "true" : "false");
+    }
     if (r.m > 0) {
       extra += ", \"m\": " + std::to_string(r.m);
       extra += ", \"graph_bytes\": " + std::to_string(r.graph_bytes);
@@ -657,5 +681,10 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s (%zu rows)\n", out_path, g_rows.size());
+  if (g_uncertified > 0) {
+    std::fprintf(stderr, "%d E13 row(s) failed verify_decomposition\n",
+                 g_uncertified);
+    return 1;
+  }
   return 0;
 }

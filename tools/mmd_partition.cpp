@@ -79,7 +79,7 @@ namespace {
   std::fprintf(stderr,
                "usage: %s -k <parts> [-p <norm>] [-o <out>] [--fast]\n"
                "       [--splitter auto|prefix|grid] [--init best|paper|bisection]\n"
-               "       [--window-scan] [--sweep-mode default|window|adaptive]\n"
+               "       [--sweep-mode default|window]\n"
                "       [--threads <n>] [--fork-depth <d>]\n"
                "       [--timeout-ms <ms>] [--image <ppm>]\n"
                "       [--repartition <deltas-file>]\n"
@@ -128,14 +128,11 @@ bool request_from_json(const mmd::jsonl::Object& obj, mmd::ServiceRequest& req,
       static_cast<int>(get_number(obj, "threads", 1, error));
   req.options.fork_depth =
       static_cast<int>(get_number(obj, "fork_depth", 0, error));
-  req.options.window_scan = get_bool(obj, "window_scan", false, error);
   const std::string sweep = get_string(obj, "sweep_mode", "default", error);
   if (sweep == "default") req.options.sweep_mode = mmd::SweepMode::BetterOfTwo;
   else if (sweep == "window") req.options.sweep_mode = mmd::SweepMode::WindowMin;
-  else if (sweep == "adaptive") req.options.sweep_mode = mmd::SweepMode::Adaptive;
   else if (error.empty())
-    error = "field 'sweep_mode' must be \"default\", \"window\", or "
-            "\"adaptive\"";
+    error = "field 'sweep_mode' must be \"default\" or \"window\"";
   req.timeout_ms = static_cast<long>(get_number(obj, "timeout_ms", -1, error));
 
   const std::string splitter = get_string(obj, "splitter", "auto", error);
@@ -372,7 +369,6 @@ int main(int argc, char** argv) {
   std::string input, output, image, repartition_file;
   bool fast = false, compare = false, quiet = false, verify = false;
   bool mem_stats = false;
-  bool window_scan = false;
   SweepMode sweep_mode = SweepMode::BetterOfTwo;
   int threads = 1;
   int fork_depth = 0;  // 0 = derive the lane-tree depth from the pool
@@ -406,13 +402,10 @@ int main(int argc, char** argv) {
       mem_stats = true;  // graph/workspace/context byte breakdown on stdout
     } else if (arg == "--repartition") {
       repartition_file = next();
-    } else if (arg == "--window-scan") {
-      window_scan = true;  // legacy alias for --sweep-mode window
     } else if (arg == "--sweep-mode") {
       const std::string name = next();
       if (name == "default") sweep_mode = SweepMode::BetterOfTwo;
       else if (name == "window") sweep_mode = SweepMode::WindowMin;
-      else if (name == "adaptive") sweep_mode = SweepMode::Adaptive;
       else usage(argv[0]);
     } else if (arg == "--threads") {
       threads = std::atoi(next());
@@ -477,7 +470,6 @@ int main(int argc, char** argv) {
       opt.inner.p = p;
       opt.inner.splitter = splitter;
       opt.inner.init = init;
-      opt.inner.window_scan = window_scan;
       opt.inner.sweep_mode = sweep_mode;
       opt.inner.num_threads = threads;
       opt.inner.fork_depth = fork_depth;
@@ -507,7 +499,6 @@ int main(int argc, char** argv) {
       opt.p = p;
       opt.splitter = splitter;
       opt.init = init;
-      opt.window_scan = window_scan;
       opt.sweep_mode = sweep_mode;
       opt.num_threads = threads;
       opt.fork_depth = fork_depth;
