@@ -33,20 +33,11 @@ void DecomposeContext::reconcile(const DecomposeOptions& options) {
   if (pool_stale) {
     pool_.reset();
     if (options.num_threads > 1) {
-      try {
-        pool_ = std::make_unique<ThreadPool>(options.num_threads);
+      pool_ = make_thread_pool(options.num_threads, options.diagnostics);
+      if (pool_ != nullptr) {
         ++stats_.pool_builds;
-      } catch (...) {
-        // Thread/memory exhaustion while spawning workers: the serial path
-        // computes the identical result (splitter contract), so degrade
-        // instead of failing the whole context.  The pool stays null until
-        // a future reconcile with a different thread count retries.
-        pool_.reset();
+      } else {
         ++stats_.pool_construct_failures;
-        diag_report(options.diagnostics, DiagEvent::PoolConstructFailed,
-                    "ThreadPool construction failed (thread or memory "
-                    "exhaustion); decompose context degraded to the serial "
-                    "path");
       }
     }
   }
@@ -89,24 +80,17 @@ void DecomposeContext::set_weights(std::span<const double> w) {
                 "weights must be finite and non-negative");
   if (weights_bound_ && prior_valid_) {
     // A rebind is one big delta batch: record which vertices changed so
-    // the next repartition's dirty region covers them, and refresh the
-    // carried per-class sums.  reserve() first — the only throwing step —
-    // so a failed rebind leaves the old binding intact.
+    // the next repartition's dirty region covers them.  reserve() first —
+    // the only throwing step — so a failed rebind leaves the old binding
+    // intact (the reassignment below keeps the size, so it cannot
+    // allocate).
     std::vector<Vertex> changed;
     for (std::size_t v = 0; v < w.size(); ++v)
       if (w[v] != weights_[v]) changed.push_back(static_cast<Vertex>(v));
     pending_dirty_.reserve(pending_dirty_.size() + changed.size());
-    std::vector<double> next(w.begin(), w.end());
-    for (std::size_t i = 0; i < prior_class_weights_.size(); ++i)
-      prior_class_weights_[i] = 0.0;
-    for (std::size_t v = 0; v < w.size(); ++v)
-      prior_class_weights_[static_cast<std::size_t>(prior_coloring_.color[v])] +=
-          w[v];
-    weights_ = std::move(next);
     pending_dirty_.insert(pending_dirty_.end(), changed.begin(), changed.end());
-  } else {
-    weights_.assign(w.begin(), w.end());
   }
+  weights_.assign(w.begin(), w.end());
   weights_bound_ = true;
 }
 
@@ -125,14 +109,7 @@ std::size_t DecomposeContext::update_weights(std::span<const WeightDelta> deltas
   }
   pending_dirty_.reserve(pending_dirty_.size() + deltas.size());
   for (const WeightDelta& d : deltas) {
-    const auto v = static_cast<std::size_t>(d.v);
-    if (prior_valid_) {
-      // Carried stats stay in sync per delta; absolute weights make the
-      // increment zero when the same batch is re-applied on retry.
-      prior_class_weights_[static_cast<std::size_t>(prior_coloring_.color[v])] +=
-          d.weight - weights_[v];
-    }
-    weights_[v] = d.weight;
+    weights_[static_cast<std::size_t>(d.v)] = d.weight;
     pending_dirty_.push_back(d.v);  // no alloc: reserved above
   }
   return deltas.size();
@@ -147,7 +124,6 @@ DecomposeResult DecomposeContext::do_repartition() {
   if (prior_valid_) {
     PriorSolution ps;
     ps.coloring = &prior_coloring_;
-    ps.class_weights = prior_class_weights_;
     ps.max_boundary = prior_max_boundary_;
     ps.baseline_max_boundary = prior_baseline_boundary_;
     ps.dirty = pending_dirty_;
@@ -159,14 +135,12 @@ DecomposeResult DecomposeContext::do_repartition() {
   } else {
     r = mmd::decompose(*g_, weights_, options_, *splitter_, ws_);
   }
-  // Adopt the solution as the new prior.  Stage the throwing copies first,
-  // commit with nothrow moves: a mid-adoption allocation failure leaves
+  // Adopt the solution as the new prior.  Stage the throwing copy first,
+  // commit with a nothrow move: a mid-adoption allocation failure leaves
   // the previous prior (and the accumulated dirty set) intact, so a retry
   // re-solves from identical state.
   Coloring adopted = r.coloring;
-  std::vector<double> cw = class_measure(weights_, adopted);
   prior_coloring_ = std::move(adopted);
-  prior_class_weights_ = std::move(cw);
   prior_max_boundary_ = r.max_boundary;
   if (!r.incremental) prior_baseline_boundary_ = r.max_boundary;
   prior_valid_ = true;
@@ -205,24 +179,25 @@ MultiDecomposeResult DecomposeContext::decompose_multi(
   return decompose_multi(psi, extra_measures);
 }
 
+std::size_t splitter_estimate_bytes(const Graph& g) {
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const int axes = g.has_coords() ? g.dim() : 0;
+  // The OrderingCache's global orders (one perm + rank block of n per
+  // cached axis order) dominate; the lane-private scratch (memberships,
+  // BFS state, order/radix buffers) is a handful of n-sized integer
+  // arrays.  Not instrumented exactly — the estimate only has to rank
+  // contexts for eviction and sum to the right order of magnitude.
+  return static_cast<std::size_t>(axes) * n *
+             (sizeof(Vertex) + sizeof(std::int32_t)) +
+         8 * n * sizeof(std::int32_t);
+}
+
 std::size_t DecomposeContext::memory_estimate_bytes() const {
-  const auto n = static_cast<std::size_t>(g_->num_vertices());
-  const int axes = g_->has_coords() ? g_->dim() : 0;
-  // Splitter estimate: the OrderingCache's global orders (one perm + rank
-  // block of n per cached axis order) dominate; the lane-private scratch
-  // (memberships, BFS state, order/radix buffers) is a handful of n-sized
-  // integer arrays.  Not instrumented exactly — the estimate only has to
-  // rank contexts for eviction and sum to the right order of magnitude.
-  std::size_t splitter_bytes =
-      static_cast<std::size_t>(axes) * n *
-          (sizeof(Vertex) + sizeof(std::int32_t)) +
-      8 * n * sizeof(std::int32_t);
-  std::size_t repartition_bytes =
+  const std::size_t repartition_bytes =
       weights_.capacity() * sizeof(double) +
       prior_coloring_.color.capacity() * sizeof(std::int32_t) +
-      prior_class_weights_.capacity() * sizeof(double) +
       pending_dirty_.capacity() * sizeof(Vertex);
-  return sizeof(*this) + splitter_bytes + repartition_bytes +
+  return sizeof(*this) + splitter_estimate_bytes(*g_) + repartition_bytes +
          own_ws_.memory_bytes();
 }
 

@@ -160,15 +160,13 @@ class DecomposeContext {
   std::span<const double> weights() const { return weights_; }
 
   /// Apply absolute weight deltas to the bound weight vector in place,
-  /// refreshing the cached weight-dependent state (per-class weight sums
-  /// of the cached prior) without rebuilding the splitter, pool, or
-  /// hierarchy.  Validates every delta (vertex in range, weight finite and
-  /// >= 0) before mutating anything, and the mutation loop itself never
-  /// throws — so a failed call leaves the context exactly as it was, and
-  /// because deltas carry absolute weights, re-applying the same batch
-  /// after a mid-call fault is a no-op on the weights and class sums
-  /// (the retryability contract the fault suite pins).  The touched
-  /// vertices accumulate in the pending dirty set, which only a
+  /// without rebuilding the splitter or pool.  Validates every delta
+  /// (vertex in range, weight finite and >= 0) before mutating anything,
+  /// and the mutation loop itself never throws — so a failed call leaves
+  /// the context exactly as it was, and because deltas carry absolute
+  /// weights, re-applying the same batch after a mid-call fault is a no-op
+  /// on the weights (the retryability contract the fault suite pins).  The
+  /// touched vertices accumulate in the pending dirty set, which only a
   /// *successful* repartition() clears.  Returns the number of deltas
   /// applied.
   std::size_t update_weights(std::span<const WeightDelta> deltas);
@@ -242,16 +240,18 @@ class DecomposeContext {
   DecomposeContextStats stats_;
 
   // Repartition chain state: the bound weight vector the deltas drift,
-  // and the cached prior solution (with per-class stats maintained
-  // incrementally per delta) the next call seeds from.
+  // and the cached prior solution the next call seeds from.
   std::vector<double> weights_;
   bool weights_bound_ = false;
   Coloring prior_coloring_;
-  std::vector<double> prior_class_weights_;
   double prior_max_boundary_ = 0.0;
   double prior_baseline_boundary_ = 0.0;
   bool prior_valid_ = false;
   std::vector<Vertex> pending_dirty_;  ///< cleared only by a successful solve
 };
+
+/// Estimated heap footprint of a warm splitter stack on `g` (OrderingCache
+/// plus per-lane scratch); the contexts' memory estimates share it.
+std::size_t splitter_estimate_bytes(const Graph& g);
 
 }  // namespace mmd

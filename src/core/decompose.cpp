@@ -73,6 +73,22 @@ PhaseReport report_phase(const Graph& g, std::span<const double> w,
   return rep;
 }
 
+/// Entry checks shared by decompose() and decompose_multi(): validate,
+/// stamp the execution control and diagnostics sink on the splitter tree
+/// (they propagate to lanes), then checkpoint before doing any work — an
+/// already-expired deadline must throw here, not after a phase ran.
+void begin_call(const Graph& g, std::span<const double> w,
+                const DecomposeOptions& options, ISplitter& splitter) {
+  MMD_REQUIRE(options.k >= 1, "k must be >= 1");
+  MMD_REQUIRE(options.p > 1.0, "p must exceed 1");
+  MMD_REQUIRE(static_cast<Vertex>(w.size()) == g.num_vertices(),
+              "weight arity mismatch");
+  MMD_REQUIRE(std::isfinite(norm1(w)), "total vertex weight must be finite");
+  splitter.set_exec_control(options.exec);
+  splitter.set_diagnostics(options.diagnostics);
+  options.exec.check();
+}
+
 long count_migration(const Coloring& prior, const Coloring& now) {
   long moved = 0;
   const std::size_t n = std::min(prior.color.size(), now.color.size());
@@ -81,22 +97,92 @@ long count_migration(const Coloring& prior, const Coloring& now) {
   return moved;
 }
 
+/// Phases 1-4 of Theorem 4, one arm.  `extra` are the Conclusion's weakly
+/// balanced measures, added to phase 1 and carried through strictify;
+/// decompose() passes none.
+DecomposeResult run_phases(const Graph& g, std::span<const double> w,
+                           std::span<const MeasureRef> extra,
+                           const DecomposeOptions& options, ISplitter& splitter,
+                           DecomposeWorkspace& wsr) {
+  DecomposeResult out;
+  Timer total_timer;
+
+  out.sigma_p = options.sigma_p > 0.0 ? options.sigma_p
+                                      : default_sigma_p(g, options.p);
+  out.bound = theorem4_bound(g, options.p, out.sigma_p, options.k);
+
+  const std::vector<double> pi =
+      splitting_cost_measure(g, options.p, out.sigma_p);
+
+  // Phase 1: Proposition 7 over {w, extra...} (or plain Lemma 6 when the
+  // Psi pass is ablated, or a Simon–Teng warm start when requested).
+  Timer phase_timer;
+  Coloring chi;
+  if (options.init == InitMethod::Bisection) {
+    chi = recursive_bisection_coloring(g, w, options.k, splitter);
+  } else {
+    std::vector<MeasureRef> user{MeasureRef(w)};
+    user.insert(user.end(), extra.begin(), extra.end());
+    if (options.balance_boundary) {
+      chi = minmax_balance(g, options.k, pi, user, splitter, options.rebalance,
+                           nullptr, &wsr);
+    } else {
+      user.insert(user.begin(), MeasureRef(pi));
+      chi = multibalance(g, options.k, user, splitter, options.rebalance,
+                         nullptr, &wsr);
+    }
+  }
+  out.phase_multibalance = report_phase(g, w, chi, phase_timer.seconds());
+
+  // Phase 2: Proposition 11, keeping the extra measures light in moved
+  // parts.  Its whole purpose is to reach *almost* strict balance; when
+  // phase 1 already delivers that (common for the bisection warm start,
+  // occasional for benign instances), skipping the shrink-and-conquer
+  // recursion is both valid and cheaper.
+  options.exec.check();  // phase boundary checkpoint
+  phase_timer.reset();
+  if (options.use_strictify && options.k > 1 &&
+      !balance_report(w, chi).almost_strictly_balanced) {
+    chi = strictify_almost(g, chi, w, pi, splitter, options.strictify,
+                           nullptr, extra, &wsr);
+  }
+  out.phase_strictify = report_phase(g, w, chi, phase_timer.seconds());
+
+  // Phase 3: Proposition 12.
+  options.exec.check();
+  phase_timer.reset();
+  if (options.use_binpack2 && options.k > 1) {
+    chi = binpack2(g, chi, w, splitter, nullptr, &wsr);
+  }
+  out.phase_binpack = report_phase(g, w, chi, phase_timer.seconds());
+
+  // Phase 4 (extension): min-max hill climbing.  Only applied once the
+  // coloring is strictly balanced, so the Definition 1 window it must
+  // preserve is the one the caller asked for.
+  options.exec.check();
+  phase_timer.reset();
+  if (options.use_refinement && options.use_binpack2 && options.k > 1) {
+    MinmaxRefineOptions refine = options.refine;
+    refine.exec = options.exec;  // round-boundary checkpoints inside
+    out.refine_stats = minmax_refine(g, chi, w, refine, &wsr.refine);
+  }
+  out.phase_refine = report_phase(g, w, chi, phase_timer.seconds());
+
+  out.coloring = std::move(chi);
+  out.balance = balance_report(w, out.coloring);
+  const auto bc = class_boundary_costs(g, out.coloring);
+  out.max_boundary = norm_inf(bc);
+  out.avg_boundary = norm1(bc) / options.k;
+  out.total_seconds = total_timer.seconds();
+  return out;
+}
+
 }  // namespace
 
 DecomposeResult decompose(const Graph& g, std::span<const double> w,
                           const DecomposeOptions& options, ISplitter& splitter,
                           DecomposeWorkspace* ws) {
-  MMD_REQUIRE(options.k >= 1, "k must be >= 1");
-  MMD_REQUIRE(options.p > 1.0, "p must exceed 1");
-  MMD_REQUIRE(static_cast<Vertex>(w.size()) == g.num_vertices(),
-              "weight arity mismatch");
-  MMD_REQUIRE(std::isfinite(norm1(w)), "total vertex weight must be finite");
-  // Stamp the execution control and diagnostics sink on the splitter tree
-  // (they propagate to lanes), then checkpoint before doing any work: an
-  // already-expired deadline must throw here, not after a phase ran.
-  splitter.set_exec_control(options.exec);
-  splitter.set_diagnostics(options.diagnostics);
-  options.exec.check();
+  begin_call(g, w, options, splitter);
 
   // The race layers below (incremental escalation, InitMethod::Best)
   // return one arm's result; its total_seconds is overwritten with this
@@ -136,75 +222,7 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
     return std::move(won);
   }
 
-  DecomposeResult out;
-  Timer total_timer;
-
-  out.sigma_p = options.sigma_p > 0.0 ? options.sigma_p
-                                      : default_sigma_p(g, options.p);
-  out.bound = theorem4_bound(g, options.p, out.sigma_p, options.k);
-
-  const std::vector<double> pi =
-      splitting_cost_measure(g, options.p, out.sigma_p);
-
-  // Phase 1: Proposition 7 (or plain Lemma 6 when the Psi pass is ablated,
-  // or a Simon–Teng warm start when requested).
-  Timer phase_timer;
-  Coloring chi;
-  if (options.init == InitMethod::Bisection) {
-    chi = recursive_bisection_coloring(g, w, options.k, splitter);
-  } else {
-    const std::vector<MeasureRef> user{MeasureRef(w)};
-    if (options.balance_boundary) {
-      chi = minmax_balance(g, options.k, pi, user, splitter, options.rebalance,
-                           nullptr, &wsr);
-    } else {
-      std::vector<MeasureRef> ms{MeasureRef(pi), MeasureRef(w)};
-      chi = multibalance(g, options.k, ms, splitter, options.rebalance,
-                         nullptr, &wsr);
-    }
-  }
-  out.phase_multibalance = report_phase(g, w, chi, phase_timer.seconds());
-
-  // Phase 2: Proposition 11.  Its whole purpose is to reach *almost*
-  // strict balance; when phase 1 already delivers that (common for the
-  // bisection warm start, occasional for benign instances), skipping the
-  // shrink-and-conquer recursion is both valid and cheaper.
-  options.exec.check();  // phase boundary checkpoint
-  phase_timer.reset();
-  if (options.use_strictify && options.k > 1 &&
-      !balance_report(w, chi).almost_strictly_balanced) {
-    chi = strictify_almost(g, chi, w, pi, splitter, options.strictify,
-                           nullptr, {}, &wsr);
-  }
-  out.phase_strictify = report_phase(g, w, chi, phase_timer.seconds());
-
-  // Phase 3: Proposition 12.
-  options.exec.check();
-  phase_timer.reset();
-  if (options.use_binpack2 && options.k > 1) {
-    chi = binpack2(g, chi, w, splitter, nullptr, &wsr);
-  }
-  out.phase_binpack = report_phase(g, w, chi, phase_timer.seconds());
-
-  // Phase 4 (extension): min-max hill climbing.  Only applied once the
-  // coloring is strictly balanced, so the Definition 1 window it must
-  // preserve is the one the caller asked for.
-  options.exec.check();
-  phase_timer.reset();
-  if (options.use_refinement && options.use_binpack2 && options.k > 1) {
-    MinmaxRefineOptions refine = options.refine;
-    refine.exec = options.exec;  // round-boundary checkpoints inside
-    out.refine_stats = minmax_refine(g, chi, w, refine, &wsr.refine);
-  }
-  out.phase_refine = report_phase(g, w, chi, phase_timer.seconds());
-
-  out.coloring = std::move(chi);
-  out.balance = balance_report(w, out.coloring);
-  const auto bc = class_boundary_costs(g, out.coloring);
-  out.max_boundary = norm_inf(bc);
-  out.avg_boundary = norm1(bc) / options.k;
-  out.total_seconds = total_timer.seconds();
-  return out;
+  return run_phases(g, w, {}, options, splitter, wsr);
 }
 
 std::optional<DecomposeResult> try_incremental_repartition(
@@ -229,10 +247,9 @@ std::optional<DecomposeResult> try_incremental_repartition(
     return std::nullopt;
 
   // Balance certificate: the prior must still fit balance_headroom x the
-  // Definition 1 window under the NEW weights.  Recomputed fresh (O(n))
-  // rather than trusted from the carried stats — robustness beats the
-  // constant factor, and with the default headroom of 1.0 every served
-  // incremental result is strictly balanced (refinement preserves it).
+  // Definition 1 window under the NEW weights (O(n)).  With the default
+  // headroom of 1.0 every served incremental result is strictly balanced
+  // (refinement preserves it).
   const BalanceReport pre = balance_report(w, pc);
   if (pre.max_dev > options.incremental.balance_headroom * pre.strict_bound +
                         1e-9 * std::max(1.0, pre.avg))
@@ -334,55 +351,27 @@ MultiDecomposeResult decompose_multi(const Graph& g, std::span<const double> psi
                                      const DecomposeOptions& options,
                                      ISplitter& splitter,
                                      DecomposeWorkspace* ws) {
-  DecomposeWorkspace local_ws;
-  DecomposeWorkspace& wsr = ws ? *ws : local_ws;
-  MMD_REQUIRE(options.k >= 1, "k must be >= 1");
-  MMD_REQUIRE(options.p > 1.0, "p must exceed 1");
-  MMD_REQUIRE(static_cast<Vertex>(psi.size()) == g.num_vertices(),
-              "psi arity mismatch");
-  MMD_REQUIRE(std::isfinite(norm1(psi)), "total psi weight must be finite");
   for (const MeasureRef& m : extra_measures)
     MMD_REQUIRE(static_cast<Vertex>(m.size()) == g.num_vertices(),
                 "extra measure arity mismatch");
-  splitter.set_exec_control(options.exec);
-  splitter.set_diagnostics(options.diagnostics);
-  options.exec.check();
+  begin_call(g, psi, options, splitter);
+  DecomposeWorkspace local_ws;
+  DecomposeWorkspace& wsr = ws ? *ws : local_ws;
+  // A bisection warm start cannot balance the extra measures, so phase 1
+  // is always Proposition 7 here, whatever options.init says.
+  DecomposeOptions paper = options;
+  paper.init = InitMethod::Paper;
+  DecomposeResult r = run_phases(g, psi, extra_measures, paper, splitter, wsr);
 
   MultiDecomposeResult out;
-  out.sigma_p = options.sigma_p > 0.0 ? options.sigma_p
-                                      : default_sigma_p(g, options.p);
-  out.bound = theorem4_bound(g, options.p, out.sigma_p, options.k);
-  const std::vector<double> pi =
-      splitting_cost_measure(g, options.p, out.sigma_p);
-
-  // Proposition 7 with the user measures (psi, Phi(1..r)).
-  std::vector<MeasureRef> user;
-  user.reserve(extra_measures.size() + 1);
-  user.push_back(psi);
-  user.insert(user.end(), extra_measures.begin(), extra_measures.end());
-  Coloring chi = minmax_balance(g, options.k, pi, user, splitter,
-                                options.rebalance, nullptr, &wsr);
-
-  // Strictify psi while keeping the extra measures light in moved parts.
-  if (options.use_strictify && options.k > 1)
-    chi = strictify_almost(g, chi, psi, pi, splitter, options.strictify,
-                           nullptr, extra_measures, &wsr);
-  if (options.use_binpack2 && options.k > 1)
-    chi = binpack2(g, chi, psi, splitter, nullptr, &wsr);
-  if (options.use_refinement && options.use_binpack2 && options.k > 1) {
-    options.exec.check();
-    MinmaxRefineOptions refine = options.refine;
-    refine.exec = options.exec;
-    minmax_refine(g, chi, psi, refine, &wsr.refine);
-  }
-
-  out.coloring = std::move(chi);
-  out.psi_balance = balance_report(psi, out.coloring);
+  out.coloring = std::move(r.coloring);
+  out.psi_balance = r.balance;
   for (const MeasureRef& m : extra_measures)
     out.weak_factors.push_back(weak_balance_factor(m, out.coloring));
-  const auto bc = class_boundary_costs(g, out.coloring);
-  out.max_boundary = norm_inf(bc);
-  out.avg_boundary = norm1(bc) / options.k;
+  out.max_boundary = r.max_boundary;
+  out.avg_boundary = r.avg_boundary;
+  out.bound = r.bound;
+  out.sigma_p = r.sigma_p;
   return out;
 }
 

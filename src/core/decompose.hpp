@@ -54,14 +54,11 @@ struct WeightDelta {
 };
 
 /// A borrowed previous solution threaded into decompose() as a seed.
-/// Everything here is borrowed and must outlive the call; the contexts
-/// (DecomposeContext::repartition) assemble one from their cached state —
+/// Everything here is borrowed and must outlive the call;
+/// DecomposeContext::repartition assembles one from its cached state —
 /// standalone callers can too.
 struct PriorSolution {
   const Coloring* coloring = nullptr;   ///< previous solution (required)
-  /// Per-class weight sums of `coloring` under the CURRENT weights
-  /// (carried stats; the contexts maintain them incrementally per delta).
-  std::span<const double> class_weights;
   double max_boundary = 0.0;  ///< ||d chi^-1||_inf of `coloring`
   /// max_boundary recorded at the last FULL solve: the reference the
   /// boundary-growth escalation envelope is measured against (incremental
@@ -242,9 +239,9 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
 /// when the escalation certificate fires (prior structurally unusable, no
 /// longer within the balance headroom under `w`, dirty region too large,
 /// or refined boundary outside the growth envelope).  decompose() calls
-/// this first whenever options.prior is set; it is exposed so the contexts
-/// (and tests) can attempt the cheap path without committing to the full
-/// fallback.  Requires options.prior != nullptr with a non-null coloring.
+/// this first whenever options.prior is set; it is exposed so callers can
+/// attempt the cheap path without committing to the full fallback.
+/// Requires options.prior != nullptr with a non-null coloring.
 std::optional<DecomposeResult> try_incremental_repartition(
     const Graph& g, std::span<const double> w, const DecomposeOptions& options,
     DecomposeWorkspace* ws = nullptr);
@@ -252,7 +249,13 @@ std::optional<DecomposeResult> try_incremental_repartition(
 /// The multi-balanced variant of Theorem 4 (Conclusion): a k-coloring that
 /// is strictly balanced w.r.t. `psi`, weakly balanced w.r.t. every extra
 /// measure (max class measure = O(avg + max)), with the same maximum
-/// boundary cost bound.
+/// boundary cost bound.  It is decompose()'s pipeline with the extra
+/// measures added to phase 1 (always Proposition 7: `options.init` does
+/// not apply, since a bisection warm start cannot balance them) and
+/// carried through strictify.  The phase switches (`balance_boundary`,
+/// `use_strictify`, `use_binpack2`, `use_refinement`) apply as in
+/// decompose(); with no extra measures and init = Paper the coloring
+/// equals decompose(g, psi, options).  `options.prior` is ignored.
 struct MultiDecomposeResult {
   Coloring coloring;                   ///< strictly psi-balanced k-coloring
   BalanceReport psi_balance;           ///< strict, per Definition 1

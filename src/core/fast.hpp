@@ -19,15 +19,15 @@
 // FastContext performs zero coarsening, splitter, or OrderingCache
 // rebuilds — and one shared ThreadPool (FastOptions::inner.num_threads)
 // drives both levels' splitters with bit-identical-to-serial results.
+//
+// FastContext has no repartition chain: weight drift is served by the one
+// chain on DecomposeContext (core/context.hpp), which PartitionService's
+// Repartition mode and `mmd_partition --repartition` both use.
 #pragma once
 
 #include "core/context.hpp"
 #include "core/decompose.hpp"
 #include "core/verify.hpp"
-
-// Feature probe for sources (tools/bench_runner.cpp) that also compile
-// against trees predating the warm multilevel path.
-#define MMD_HAS_FAST_CONTEXT 1
 
 namespace mmd {
 
@@ -60,11 +60,6 @@ struct FastResult {
   bool degraded = false;
   /// verify_decomposition certificate; populated only when degraded.
   VerifyReport certificate;
-  /// Vertices that changed class vs the cached prior (-1 when the call had
-  /// no prior to migrate from).  See DecomposeResult::migration_cost.
-  long migration_cost = -1;
-  bool incremental = false;  ///< served by the seeded finest-level path
-  bool escalated = false;    ///< prior cached but certificate forced full solve
 };
 
 /// Instrumentation counters of a FastContext; the warm-path regression
@@ -77,9 +72,6 @@ struct FastContextStats {
   int pool_construct_failures = 0;  ///< pool builds that threw; degraded to
                                     ///< serial (see DecomposeContextStats)
   long degraded_calls = 0;    ///< decompose calls that returned degraded
-  long repartition_calls = 0;   ///< repartition() calls served
-  long incremental_served = 0;  ///< of those, served by the seeded path
-  long escalations = 0;         ///< of those, escalated to a full solve
 };
 
 /// Reusable fast-multilevel state bound to one graph.
@@ -117,21 +109,6 @@ class FastContext {
   /// parameters or seed -> hierarchy; splitter kind -> splitters; thread
   /// count -> pool), so sweeping k, weights, or tolerances stays warm.
   FastResult decompose(std::span<const double> w, const FastOptions& options);
-
-  /// Repartition chain, mirroring DecomposeContext: bind base weights,
-  /// drift them with absolute deltas, and solve seeded from the cached
-  /// prior.  The incremental path serves at the *finest* level (the prior
-  /// is full-resolution; no projection needed), so the cached hierarchy is
-  /// only consulted when the escalation certificate forces a full
-  /// multilevel solve.  Degraded (deadline-projected) results are never
-  /// adopted as priors — the chain resumes from the last verified one.
-  /// Contracts (validation, atomicity, faulted-retry bit-identity) are
-  /// identical to DecomposeContext's; see core/context.hpp.
-  void set_weights(std::span<const double> w);
-  bool has_weights() const { return weights_bound_; }
-  std::span<const double> weights() const { return weights_; }
-  std::size_t update_weights(std::span<const WeightDelta> deltas);
-  FastResult repartition(std::span<const WeightDelta> deltas = {});
 
   const Graph& graph() const { return *g_; }
   const FastOptions& options() const { return options_; }
@@ -195,16 +172,6 @@ class FastContext {
   std::unique_ptr<DecomposeContext> coarse_ctx_;
   std::unique_ptr<ISplitter> fine_splitter_;  ///< closing binpack2 pass
   FastContextStats stats_;
-
-  // Repartition chain state (see DecomposeContext for the contracts).
-  std::vector<double> weights_;
-  bool weights_bound_ = false;
-  Coloring prior_coloring_;
-  std::vector<double> prior_class_weights_;
-  double prior_max_boundary_ = 0.0;
-  double prior_baseline_boundary_ = 0.0;
-  bool prior_valid_ = false;
-  std::vector<Vertex> pending_dirty_;
 };
 
 /// One-shot convenience wrapper: routes through a transient FastContext

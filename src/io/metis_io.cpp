@@ -9,6 +9,8 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 namespace mmd {
 
@@ -160,7 +162,8 @@ GraphWithWeights read_metis(std::istream& is) {
     }
   }
   if (line == nullptr)
-    throw ParseError(reader.lineno() + 1, "missing header line (n m [fmt])");
+    throw ParseError(reader.lineno() + 1,
+                     "missing header line (n m [fmt [ncon]])");
   const long header_line = reader.lineno();
   TokenCursor header(line);
   char* tn = header.next();
@@ -168,7 +171,8 @@ GraphWithWeights read_metis(std::istream& is) {
   if (tn == nullptr || tm == nullptr)
     throw ParseError(header_line, "header needs vertex and edge counts");
   char* fmt = header.next();
-  if (fmt != nullptr && header.next() != nullptr)
+  char* ncon = fmt != nullptr ? header.next() : nullptr;
+  if (ncon != nullptr && header.next() != nullptr)
     throw ParseError(header_line, "trailing tokens after header");
   const long long n = parse_ll(tn, header_line, "vertex count");
   const long long m = parse_ll(tm, header_line, "edge count");
@@ -177,9 +181,28 @@ GraphWithWeights read_metis(std::istream& is) {
   if (n > std::numeric_limits<Vertex>::max())
     throw ParseError(header_line,
                      "vertex count overflows the 32-bit vertex id space");
-  if (fmt != nullptr && std::strcmp(fmt, "011") != 0)
+  // fmt is up to three 0/1 digits, read right to left: edge costs,
+  // vertex weights, vertex sizes.  Absent means 0 (neither).
+  const std::string_view flags = fmt != nullptr ? fmt : "";
+  if (flags.size() > 3 || flags.find_first_not_of("01") != flags.npos)
     throw ParseError(header_line, "unsupported METIS format flags '" +
-                                      std::string(fmt) + "' (only 011)");
+                                      std::string(flags) + "'");
+  const auto fmt_digit = [&](std::size_t i) {  // i-th digit from the right
+    return flags.size() > i && flags[flags.size() - 1 - i] == '1';
+  };
+  const bool has_costs = fmt_digit(0);
+  const bool has_weights = fmt_digit(1);
+  if (fmt_digit(2))
+    throw ParseError(header_line,
+                     "METIS vertex sizes (format flags 1xx) are unsupported");
+  if (ncon != nullptr) {
+    const long long c = parse_ll(ncon, header_line, "ncon");
+    if (c > 1)
+      throw ParseError(header_line,
+                       "multi-constraint vertex weights (ncon > 1) are "
+                       "unsupported");
+    if (c < 1) throw ParseError(header_line, "ncon must be >= 1");
+  }
 
   GraphBuilder builder(static_cast<Vertex>(n));
   std::vector<double> weights(static_cast<std::size_t>(n), 1.0);
@@ -197,38 +220,57 @@ GraphWithWeights read_metis(std::istream& is) {
   }
 
   long long edges_seen = 0;
-  for (Vertex v = 0; v < static_cast<Vertex>(n); ++v) {
-    line = reader.next_line();
-    if (line == nullptr)
-      throw ParseError(reader.lineno() + 1,
-                       "unexpected end of file: expected " + std::to_string(n) +
-                           " adjacency lines, got " +
-                           std::to_string(static_cast<long long>(v)));
-    const long lineno = reader.lineno();
-    TokenCursor tc(line);
-    char* tok = tc.next();
-    if (tok == nullptr)
-      throw ParseError(lineno, "empty adjacency line: expected a vertex weight");
-    weights[static_cast<std::size_t>(v)] =
-        parse_finite_double(tok, lineno, "vertex weight");
-    while ((tok = tc.next()) != nullptr) {
-      const long long u = parse_ll(tok, lineno, "neighbor id");
-      if (u < 1 || u > n)
-        throw ParseError(lineno, "neighbor id " + std::to_string(u) +
-                                     " out of range [1, " + std::to_string(n) +
-                                     "]");
-      tok = tc.next();
-      if (tok == nullptr)
-        throw ParseError(
-            lineno, "truncated adjacency list: neighbor id without an edge cost");
-      const double c = parse_finite_double(tok, lineno, "edge cost");
-      const auto nb = static_cast<Vertex>(u - 1);
-      if (nb > v) {  // each edge listed from both sides; add once
-        builder.add_edge(v, nb, c);
-        ++edges_seen;
+  // One instantiation per edge-cost flag, so the per-edge loop of the
+  // common 011 file carries no format branch.
+  const auto read_adjacency = [&](auto costs) {
+    for (Vertex v = 0; v < static_cast<Vertex>(n); ++v) {
+      // '%' lines are comments here too, as anywhere in a METIS file.
+      do line = reader.next_line();
+      while (line != nullptr && line[0] == '%');
+      if (line == nullptr)
+        throw ParseError(reader.lineno() + 1,
+                         "unexpected end of file: expected " +
+                             std::to_string(n) + " adjacency lines, got " +
+                             std::to_string(static_cast<long long>(v)));
+      const long lineno = reader.lineno();
+      TokenCursor tc(line);
+      char* tok = nullptr;
+      // Without vertex weights an empty line is an isolated vertex.
+      if (has_weights) {
+        tok = tc.next();
+        if (tok == nullptr)
+          throw ParseError(lineno,
+                           "empty adjacency line: expected a vertex weight");
+        weights[static_cast<std::size_t>(v)] =
+            parse_finite_double(tok, lineno, "vertex weight");
+      }
+      while ((tok = tc.next()) != nullptr) {
+        const long long u = parse_ll(tok, lineno, "neighbor id");
+        if (u < 1 || u > n)
+          throw ParseError(lineno, "neighbor id " + std::to_string(u) +
+                                       " out of range [1, " +
+                                       std::to_string(n) + "]");
+        double c = 1.0;
+        if constexpr (decltype(costs)::value) {
+          tok = tc.next();
+          if (tok == nullptr)
+            throw ParseError(lineno,
+                             "truncated adjacency list: neighbor id without an "
+                             "edge cost");
+          c = parse_finite_double(tok, lineno, "edge cost");
+        }
+        const auto nb = static_cast<Vertex>(u - 1);
+        if (nb > v) {  // each edge listed from both sides; add once
+          builder.add_edge(v, nb, c);
+          ++edges_seen;
+        }
       }
     }
-  }
+  };
+  if (has_costs)
+    read_adjacency(std::true_type{});
+  else
+    read_adjacency(std::false_type{});
   if (edges_seen != m)
     throw ParseError(header_line, "edge count mismatch: header says " +
                                       std::to_string(m) +

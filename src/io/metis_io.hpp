@@ -1,9 +1,17 @@
 // METIS-style text I/O for weighted graphs and colorings.
 //
-// Format (a float-valued superset of the METIS graph format):
-//   % comment lines
-//   n m 011          <- header: counts + "vertex weights, edge costs"
-//   w_v  u1 c1  u2 c2 ...   <- one line per vertex, neighbors 1-indexed
+// Format (the METIS graph format, with float-valued weights and costs):
+//   % comment lines (anywhere in the file)
+//   n m [fmt [ncon]]        <- header: vertex and edge counts
+//   [w_v]  u1 [c1]  u2 [c2] ...   <- one line per vertex, neighbors
+//                                    1-indexed, each edge from both sides
+// fmt is 0, 1, 10 or 11 (or its 3-digit form 000/001/010/011; absent
+// means 0): the last digit says the lines carry edge costs, the middle one
+// a leading vertex weight.  Missing weights and costs read as 1, and
+// without vertex weights an empty line is an isolated vertex.  ncon, when
+// given, must be 1.  Vertex sizes (fmt 1xx) and multi-constraint weights
+// (ncon > 1) are rejected with a ParseError.  write_metis always writes
+// fmt 011.
 // Colorings are stored one color per line (METIS partition file format).
 // Coordinates, when present, are stored in a companion "%coords d" comment
 // block so grid instances survive a round trip.

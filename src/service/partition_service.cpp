@@ -25,19 +25,10 @@ const char* to_string(ServiceStatus status) {
 PartitionService::PartitionService(const PartitionServiceOptions& options)
     : options_(options), queue_(options.queue_capacity) {
   MMD_REQUIRE(options.num_workers >= 1, "num_workers must be >= 1");
-  if (options.num_workers > 1) {
-    try {
-      pool_ = std::make_unique<ThreadPool>(options.num_workers);
-    } catch (...) {
-      // Same degradation contract as the contexts: the serial round loop
-      // computes identical responses, so a pool that cannot be built must
-      // not fail the service.
-      pool_.reset();
-      diag_.report(DiagEvent::PoolConstructFailed,
-                   "ThreadPool construction failed (thread or memory "
-                   "exhaustion); service rounds degraded to the serial path");
-    }
-  }
+  // A failed pool build leaves rounds on the serial loop, which computes
+  // identical responses; diag_.pool_construct_failures counts it.
+  if (options.num_workers > 1)
+    pool_ = make_thread_pool(options.num_workers, &diag_);
 }
 
 PartitionService::~PartitionService() { shutdown(); }

@@ -23,7 +23,7 @@ namespace mmd {
 /// Event kinds reported to DecomposeDiagnostics::callback.
 enum class DiagEvent {
   LanelessFallback,     ///< make_lane unsupported; multi_split stayed serial
-  PoolConstructFailed,  ///< ThreadPool build threw; context degraded to serial
+  PoolConstructFailed,  ///< ThreadPool build threw; owner degraded to serial
   DegradedResult,       ///< deadline hit in fast mode; best-effort returned
   ConcurrentContextEntry,  ///< a context (exclusive per call) was entered
                            ///< while another call held it — caller bug

@@ -130,4 +130,16 @@ void ThreadPool::run(int count, const std::function<void(int)>& fn) {
   if (error) std::rethrow_exception(error);
 }
 
+std::unique_ptr<ThreadPool> make_thread_pool(int num_threads,
+                                             DecomposeDiagnostics* diag) {
+  try {
+    return std::make_unique<ThreadPool>(num_threads);
+  } catch (...) {
+    diag_report(diag, DiagEvent::PoolConstructFailed,
+                "ThreadPool construction failed (thread or memory "
+                "exhaustion); degraded to the serial path");
+    return nullptr;
+  }
+}
+
 }  // namespace mmd

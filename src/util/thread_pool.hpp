@@ -29,9 +29,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "util/diagnostics.hpp"
 
 namespace mmd {
 
@@ -44,9 +47,8 @@ class ThreadPool {
   /// Construction is exception-safe: if spawning worker j throws
   /// (std::system_error on thread exhaustion, std::bad_alloc), workers
   /// 0..j-1 are stopped and joined before the exception escapes — never a
-  /// terminate() from a half-built pool.  Callers that can degrade (the
-  /// contexts) catch this and fall back to serial execution, reporting
-  /// PoolConstructFailed on their diagnostics sink.
+  /// terminate() from a half-built pool.  Callers that can degrade build
+  /// through make_thread_pool below instead.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
@@ -92,5 +94,13 @@ class ThreadPool {
   std::exception_ptr error_;
   int error_index_ = 0;  // task index of error_ (lowest index wins)
 };
+
+/// The pool fallback shared by the contexts and PartitionService: a pool
+/// of `num_threads` lanes, or nullptr when construction throws (thread or
+/// memory exhaustion) — reported as PoolConstructFailed on `diag`.  The
+/// serial path computes the identical result, so a caller degrades to it
+/// instead of failing.
+std::unique_ptr<ThreadPool> make_thread_pool(int num_threads,
+                                             DecomposeDiagnostics* diag);
 
 }  // namespace mmd

@@ -44,10 +44,32 @@ TEST(DecomposeMulti, MatchesPlainDecomposeWithoutExtras) {
   const MultiDecomposeResult multi = decompose_multi(g, psi, {}, opt);
   const DecomposeResult plain = decompose(g, psi, opt);
   EXPECT_TRUE(multi.psi_balance.strictly_balanced);
-  // Same pipeline modulo the (empty) extra-measure plumbing: costs agree
-  // within a small factor.
-  EXPECT_LE(multi.max_boundary, 2.0 * plain.max_boundary + 1e-9);
-  EXPECT_LE(plain.max_boundary, 2.0 * multi.max_boundary + 1e-9);
+  // One phase sequence: with no extra measures it is decompose() itself.
+  EXPECT_EQ(multi.coloring.color, plain.coloring.color);
+  EXPECT_EQ(multi.max_boundary, plain.max_boundary);
+}
+
+TEST(DecomposeMulti, PhaseSwitchesApplyWithoutBoundaryBalancing) {
+  // balance_boundary = false runs phase 1 as plain multibalance over
+  // {pi, psi, extra...}; phases 2-4 must still deliver strict psi balance
+  // and weak balance in the extra measure.
+  const Graph g = make_grid_cube(2, 20);
+  const auto psi = testing::weights_for(g, WeightModel::Bimodal, 19);
+  const auto phi = testing::weights_for(g, WeightModel::Zipf, 23);
+  const std::vector<MeasureRef> extra{MeasureRef(phi)};
+  DecomposeOptions opt;
+  opt.k = 8;
+  opt.balance_boundary = false;
+  const MultiDecomposeResult res = decompose_multi(g, psi, extra, opt);
+  expect_total_coloring(g, res.coloring);
+  EXPECT_TRUE(res.psi_balance.strictly_balanced)
+      << "dev " << res.psi_balance.max_dev << " bound "
+      << res.psi_balance.strict_bound;
+  ASSERT_EQ(res.weak_factors.size(), 1u);
+  EXPECT_LE(res.weak_factors[0], 10.0);
+  // With no extra measures the ablated pipeline is decompose()'s too.
+  EXPECT_EQ(decompose_multi(g, psi, {}, opt).coloring.color,
+            decompose(g, psi, opt).coloring.color);
 }
 
 TEST(DecomposeMulti, ClimateComputePlusMemoryScenario) {

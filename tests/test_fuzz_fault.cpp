@@ -30,10 +30,13 @@
 #include "core/decompose.hpp"
 #include "core/fast.hpp"
 #include "core/verify.hpp"
+#include "gen/grid.hpp"
+#include "service/partition_service.hpp"
 #include "test_helpers.hpp"
 #include "util/exec_control.hpp"
 #include "util/fault.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 // ---- fault-consulting allocator (test binary only) -------------------------
 
@@ -350,6 +353,142 @@ TEST_P(FuzzFault, MultiMeasureLaneTreeFailsTypedAndReusesWarm) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzFault, ::testing::Range(0, 6));
+
+// ---- thread-pool construction failure --------------------------------------
+// make_thread_pool is the one place a failed ThreadPool build is caught
+// and reported.  An allocation failure inside it must leave each pool
+// owner on the serial path: one PoolConstructFailed report, the owner's
+// own counter bumped, and answers bit-identical to num_threads = 1.
+
+/// Arms an allocation failure at indices 0, 1, 2, ... until `build`
+/// returns instead of throwing: an index before the pool construction
+/// fails the build itself, the first one inside it is absorbed by
+/// make_thread_pool.  Returns that index (-1 if none survived).
+template <typename Build>
+long build_with_failed_pool(Build&& build) {
+  for (long nth = 0; nth < 4096; ++nth) {
+    fault::arm_alloc_failure(nth);
+    try {
+      build();
+      fault::disarm();
+      return nth;
+    } catch (const std::bad_alloc&) {
+      fault::disarm();
+    }
+  }
+  return -1;
+}
+
+Graph pool_fallback_grid() {
+  CostParams costs;
+  costs.model = CostModel::Uniform;
+  costs.hi = 6.0;
+  return make_grid_cube(2, 24, costs);
+}
+
+TEST(ThreadPoolFallback, MakeThreadPoolReturnsNullAndReportsOnce) {
+  DecomposeDiagnostics diag;
+  fault::arm_alloc_failure(0);
+  std::unique_ptr<ThreadPool> pool = make_thread_pool(4, &diag);
+  fault::disarm();
+  EXPECT_EQ(pool, nullptr);
+  EXPECT_EQ(diag.pool_construct_failures.load(), 1);
+
+  fault::arm_alloc_failure(0);
+  EXPECT_EQ(make_thread_pool(4, nullptr), nullptr);  // null sink is legal
+  fault::disarm();
+
+  pool = make_thread_pool(4, &diag);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->num_threads(), 4);
+  EXPECT_EQ(diag.pool_construct_failures.load(), 1);
+}
+
+TEST(ThreadPoolFallback, DecomposeContextDegradesToSerial) {
+  const Graph g = pool_fallback_grid();
+  const auto w = testing::weights_for(g, WeightModel::Bimodal, 19);
+  DecomposeDiagnostics diag;
+  DecomposeOptions opt;
+  opt.k = 6;
+  opt.num_threads = 4;
+  opt.diagnostics = &diag;
+  std::unique_ptr<DecomposeContext> ctx;
+  ASSERT_GE(build_with_failed_pool(
+                [&] { ctx = std::make_unique<DecomposeContext>(g, opt); }),
+            0);
+  EXPECT_EQ(ctx->thread_pool(), nullptr);
+  EXPECT_EQ(ctx->stats().pool_builds, 0);
+  EXPECT_EQ(ctx->stats().pool_construct_failures, 1);
+
+  DecomposeOptions serial = opt;
+  serial.num_threads = 1;
+  serial.diagnostics = nullptr;
+  const DecomposeResult want = DecomposeContext(g, serial).decompose(w);
+  EXPECT_EQ(ctx->decompose(w).coloring.color, want.coloring.color);
+  EXPECT_EQ(ctx->decompose(w).coloring.color, want.coloring.color);
+  EXPECT_EQ(diag.pool_construct_failures.load(), 1);
+  EXPECT_EQ(ctx->stats().pool_construct_failures, 1);
+}
+
+TEST(ThreadPoolFallback, FastContextDegradesToSerial) {
+  const Graph g = pool_fallback_grid();
+  const auto w = testing::weights_for(g, WeightModel::Bimodal, 23);
+  DecomposeDiagnostics diag;
+  FastOptions opt;
+  opt.inner.k = 6;
+  opt.inner.num_threads = 4;
+  opt.inner.diagnostics = &diag;
+  opt.coarse_target = 64;  // genuinely coarsen: both levels' splitters run
+  std::unique_ptr<FastContext> ctx;
+  ASSERT_GE(build_with_failed_pool(
+                [&] { ctx = std::make_unique<FastContext>(g, opt); }),
+            0);
+  EXPECT_EQ(ctx->stats().pool_builds, 0);
+  EXPECT_EQ(ctx->stats().pool_construct_failures, 1);
+
+  FastOptions serial = opt;
+  serial.inner.num_threads = 1;
+  serial.inner.diagnostics = nullptr;
+  const FastResult want = FastContext(g, serial).decompose(w);
+  const FastResult got = ctx->decompose(w);
+  EXPECT_GT(got.levels, 0);
+  EXPECT_EQ(got.coloring.color, want.coloring.color);
+  EXPECT_EQ(ctx->coarse_context().thread_pool(), nullptr);
+  EXPECT_EQ(diag.pool_construct_failures.load(), 1);
+}
+
+TEST(ThreadPoolFallback, PartitionServiceDegradesToSerial) {
+  const Graph g = pool_fallback_grid();
+  const auto w = testing::weights_for(g, WeightModel::Bimodal, 29);
+  PartitionServiceOptions so;
+  so.num_workers = 4;
+  std::unique_ptr<PartitionService> service;
+  ASSERT_GE(build_with_failed_pool(
+                [&] { service = std::make_unique<PartitionService>(so); }),
+            0);
+  EXPECT_EQ(service->diagnostics().pool_construct_failures.load(), 1);
+
+  so.num_workers = 1;
+  PartitionService serial(so);
+  ServiceRequest req;
+  req.options.k = 6;
+  for (const char* name : {"a", "b"}) {
+    service->load_graph(name, Graph(g), w);
+    serial.load_graph(name, Graph(g), w);
+  }
+  for (const RequestMode mode : {RequestMode::Decompose, RequestMode::Fast}) {
+    req.mode = mode;
+    for (const char* name : {"a", "b"}) {
+      req.graph = name;
+      const ServiceResponse got = service->execute(req);
+      const ServiceResponse want = serial.execute(req);
+      ASSERT_EQ(got.status, ServiceStatus::Ok) << got.error;
+      ASSERT_EQ(want.status, ServiceStatus::Ok) << want.error;
+      EXPECT_EQ(got.coloring.color, want.coloring.color);
+    }
+  }
+  EXPECT_EQ(service->diagnostics().pool_construct_failures.load(), 1);
+}
 
 }  // namespace
 }  // namespace mmd

@@ -251,8 +251,8 @@ TEST(MemoryEstimate, ContextEstimateGrowsWithRepartitionState) {
   const std::size_t bound = ctx.memory_estimate_bytes();
   EXPECT_GE(bound, unbound + n * sizeof(double));
 
-  // The first solve of the chain adopts the prior coloring and per-class
-  // weights — warm state the service cache must pay for.
+  // The first solve of the chain adopts the prior coloring — warm state
+  // the service cache must pay for.
   const DecomposeResult first = ctx.repartition();
   ASSERT_FALSE(first.incremental);
   const std::size_t warm = ctx.memory_estimate_bytes();

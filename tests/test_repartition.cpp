@@ -1,5 +1,5 @@
 // Incremental repartitioning: the prior-solution seed threaded through
-// decompose -> contexts -> service (PR 8).
+// decompose -> DecomposeContext -> service.
 //
 // The contract under test, layer by layer:
 //   * DecomposeContext::repartition — the first call of a chain is a full
@@ -9,7 +9,6 @@
 //     certificate escalates to a full solve bit-identical to a cold one.
 //   * update_weights — validates every delta before mutating anything, so
 //     a rejected batch leaves the chain exactly as it was.
-//   * FastContext::repartition — same chain semantics at the finest level.
 //   * PartitionService — the `repartition` request mode: weights alongside
 //     deltas is a BadRequest, unknown graphs are NotFound, and a served
 //     chain matches a local context replaying the same deltas bit for bit.
@@ -20,7 +19,6 @@
 
 #include "core/context.hpp"
 #include "core/decompose.hpp"
-#include "core/fast.hpp"
 #include "core/verify.hpp"
 #include "gen/grid.hpp"
 #include "service/partition_service.hpp"
@@ -243,51 +241,6 @@ TEST(Repartition, SetWeightsRebindActsAsOneBigDeltaBatch) {
   }
 }
 
-TEST(Repartition, FastContextServesSameChainSemantics) {
-  const Graph g = drift_grid(24);
-  const int n = g.num_vertices();
-  std::vector<double> w(static_cast<std::size_t>(n), 1.0);
-  FastOptions opt;
-  opt.inner.k = 4;
-  opt.coarse_target = 64;
-
-  const FastResult cold = decompose_fast(g, w, opt);
-
-  FastContext ctx(g, opt);
-  ctx.set_weights(w);
-  const FastResult first = ctx.repartition();
-  EXPECT_FALSE(first.incremental);
-  EXPECT_EQ(first.coloring.color, cold.coloring.color);
-
-  // No-delta follow-up: incremental no-op on the cached prior.
-  const FastResult again = ctx.repartition();
-  EXPECT_TRUE(again.incremental);
-  EXPECT_EQ(again.migration_cost, 0);
-  EXPECT_EQ(again.coloring.color, first.coloring.color);
-
-  // Gentle local drift: served incrementally at the finest level, strict.
-  const auto deltas = gentle_band(w, n / 2, n / 100, 1.05);
-  for (const WeightDelta& d : deltas)
-    w[static_cast<std::size_t>(d.v)] = d.weight;
-  const FastResult inc = ctx.repartition(deltas);
-  EXPECT_TRUE(inc.incremental);
-  expect_verified(g, w, inc.coloring, "fast incremental");
-  EXPECT_EQ(ctx.stats().repartition_calls, 3);
-  EXPECT_EQ(ctx.stats().incremental_served, 2);
-
-  // Heavy drift: escalation runs the full multilevel solve.
-  std::vector<WeightDelta> heavy;
-  for (int v = 0; v < n / 8; ++v) {
-    heavy.push_back({static_cast<Vertex>(v), 8.0});
-    w[static_cast<std::size_t>(v)] = 8.0;
-  }
-  const FastResult esc = ctx.repartition(heavy);
-  EXPECT_TRUE(esc.escalated);
-  expect_verified(g, w, esc.coloring, "fast escalated");
-  const FastResult cold2 = decompose_fast(g, w, opt);
-  EXPECT_EQ(esc.coloring.color, cold2.coloring.color);
-}
-
 TEST(Repartition, ServiceRequestFlowMatchesLocalChain) {
   const Graph g = drift_grid(16);
   const int n = g.num_vertices();
@@ -353,19 +306,14 @@ TEST(Repartition, StandalonePriorSolutionThroughConvenienceOverload) {
   opt.k = 4;
   const DecomposeResult base = decompose(g, w, opt);
 
-  std::vector<double> cw = class_measure(std::span<const double>(w),
-                                         base.coloring);
   std::vector<Vertex> dirty;
   for (int v = n / 3; v < n / 3 + n / 100; ++v) {
     w[static_cast<std::size_t>(v)] = 1.05;
     dirty.push_back(static_cast<Vertex>(v));
-    cw[static_cast<std::size_t>(
-        base.coloring.color[static_cast<std::size_t>(v)])] += 0.05;
   }
 
   PriorSolution prior;
   prior.coloring = &base.coloring;
-  prior.class_weights = cw;
   prior.max_boundary = base.max_boundary;
   prior.baseline_max_boundary = base.max_boundary;
   prior.dirty = dirty;

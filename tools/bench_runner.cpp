@@ -25,10 +25,8 @@
 //     = 2/4/8, again bit-identical by construction);
 //   * a min-max refinement microbench on random colorings, per engine.
 //
-// The same source compiles against the seed tree (which predates
-// DecomposeWorkspace, RefineEngine, and DecomposeContext); the extra
-// modes are feature-detected so before/after JSONs can be produced with
-// one binary each and merged by tools/bench_merge.py into BENCH_*.json.
+// Before/after JSONs (one binary per tree) merge through
+// tools/bench_merge.py into BENCH_*.json.
 //
 // PR 9 adds the E12 huge-graph suite (--e12 / --e12-smoke): 10M+-vertex
 // grids and triangulated meshes plus a METIS-file round trip through the
@@ -55,55 +53,26 @@
 #include <cstring>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "baselines/random_part.hpp"
 #include "baselines/recursive_bisection.hpp"
+#include "core/context.hpp"
 #include "core/decompose.hpp"
+#include "core/fast.hpp"
 #include "core/refine.hpp"
 #include "core/verify.hpp"
+#include "core/workspace.hpp"
 #include "gen/geometric.hpp"
 #include "gen/grid.hpp"
 #include "gen/mesh.hpp"
 #include "io/metis_io.hpp"
-#include "util/timer.hpp"
-
-// Seed trees predate util/rss.hpp; their rows carry peak_rss_bytes 0 (the
-// merge keeps the current side's stamps).
-#if __has_include("util/rss.hpp")
-#define MMD_BENCH_HAS_RSS 1
 #include "util/rss.hpp"
-#endif
-
-#if __has_include("core/workspace.hpp")
-#define MMD_BENCH_HAS_WORKSPACE 1
-#include "core/workspace.hpp"
-#endif
-#if __has_include("core/context.hpp")
-#define MMD_BENCH_HAS_CONTEXT 1
-#include "core/context.hpp"
-#endif
-#include "core/fast.hpp"  // seed and current both have the fast mode;
-                          // MMD_HAS_FAST_CONTEXT marks the warm path
+#include "util/timer.hpp"
 
 namespace {
 
 using namespace mmd;
-
-template <typename T, typename = void>
-struct HasEngine : std::false_type {};
-template <typename T>
-struct HasEngine<T, std::void_t<decltype(T::engine)>> : std::true_type {};
-
-// Set the refinement engine when the library has one (overload ranking:
-// the int overload wins when `o.engine` is well-formed).
-template <typename Opt>
-auto set_engine(Opt& o, bool worklist, int) -> decltype((void)o.engine) {
-  o.engine = worklist ? decltype(o.engine)::Worklist : decltype(o.engine)::Sweep;
-}
-template <typename Opt>
-void set_engine(Opt&, bool, long) {}
 
 struct Row {
   std::string suite, config;
@@ -122,18 +91,10 @@ std::vector<Row> g_rows;
 /// E13 rows whose certificate failed; main() exits non-zero when any did.
 int g_uncertified = 0;
 
-std::size_t process_peak_rss() {
-#ifdef MMD_BENCH_HAS_RSS
-  return peak_rss_bytes();
-#else
-  return 0;
-#endif
-}
-
 /// All rows funnel through here so each carries the peak-RSS high-water
 /// mark as of the moment it was measured.
 void push_row(Row row) {
-  row.peak_rss = process_peak_rss();
+  row.peak_rss = peak_rss_bytes();
   g_rows.push_back(std::move(row));
 }
 
@@ -180,23 +141,16 @@ void bench_decompose(const char* config, int side, int k, double heavy = 0.0) {
   Row warm{"decompose_grid2d", config, side, g.num_vertices(), k,
            "warm",            1e300,  0.0};
   const auto splitter = make_default_splitter(g, opt.splitter);
-#ifdef MMD_BENCH_HAS_WORKSPACE
   DecomposeWorkspace ws;
-#endif
   for (int r = 0; r < reps + 1; ++r) {  // first warm call fills the pools
     Timer t;
-#ifdef MMD_BENCH_HAS_WORKSPACE
     const DecomposeResult res = decompose(g, w, opt, *splitter, &ws);
-#else
-    const DecomposeResult res = decompose(g, w, opt, *splitter);
-#endif
     if (r == 0) continue;
     warm.ms = std::min(warm.ms, t.seconds() * 1e3);
     warm.max_boundary = res.max_boundary;
   }
   push_row(warm);
 
-#ifdef MMD_BENCH_HAS_CONTEXT
   // The public warm path: a reused DecomposeContext (owned splitter +
   // workspace; zero rebuilds after call one), serial and 2/4/8-threaded
   // (the wider pools drive the multi_split lane tree at its auto fork
@@ -242,7 +196,6 @@ void bench_decompose(const char* config, int side, int k, double heavy = 0.0) {
     }
     push_row(row);
   }
-#endif
 }
 
 /// The fast multilevel mode on the mid-size grids named by the ROADMAP
@@ -267,7 +220,6 @@ void bench_fast(const char* config, int side, int k) {
   }
   push_row(cold);
 
-#ifdef MMD_HAS_FAST_CONTEXT
   // The warm multilevel path: cached hierarchy, warm coarse context,
   // persistent finest-level splitter — serial and 2/4/8-threaded.
   for (const int threads : {1, 2, 4, 8}) {
@@ -289,7 +241,6 @@ void bench_fast(const char* config, int side, int k) {
     }
     push_row(row);
   }
-#endif
 }
 
 void bench_refine(const char* suite, int side, int k, const Coloring& base,
@@ -311,14 +262,10 @@ void bench_refine(const char* suite, int side, int k, const Coloring& base,
     push_row(row);
   };
 
-  if constexpr (HasEngine<MinmaxRefineOptions>::value) {
-    set_engine(opt, true, 0);
-    run_mode("worklist");
-    set_engine(opt, false, 0);
-    run_mode("sweep");
-  } else {
-    run_mode("sweep");  // the seed's only engine
-  }
+  opt.engine = RefineEngine::Worklist;
+  run_mode("worklist");
+  opt.engine = RefineEngine::Sweep;
+  run_mode("sweep");
 }
 
 /// Hill climbing from a random coloring: the boundary is dense, so this
@@ -368,7 +315,6 @@ void bench_e12_decompose(const char* suite, const char* config, const Graph& g,
   }
   push_row(cold);
 
-#ifdef MMD_BENCH_HAS_CONTEXT
   Row warm{suite, config, side, g.num_vertices(), k, "ctx-warm", 1e300, 0.0};
   warm.m = g.num_edges();
   warm.graph_bytes = g.memory_bytes();
@@ -381,7 +327,6 @@ void bench_e12_decompose(const char* suite, const char* config, const Graph& g,
     warm.max_boundary = res.max_boundary;
   }
   push_row(warm);
-#endif
 }
 
 /// Grid instance: one e12_build row (generator + GraphBuilder::build wall

@@ -26,8 +26,9 @@
 //   --compare          also run greedy / recursive-bisection baselines
 //   --quiet            suppress the report table
 //
-// The input is the METIS-like format of io/metis_io.hpp (vertex weights +
-// edge costs; optional %coords block).
+// The input is a METIS graph file (io/metis_io.hpp: fmt absent/0/1/10/11,
+// missing vertex weights and edge costs read as 1; optional %coords
+// block).
 //
 // Exit-code contract (stable; scripts may rely on it):
 //   0  strictly balanced partition produced (and verified, with --verify)
@@ -436,8 +437,8 @@ int main(int argc, char** argv) {
     }
   }
   if (k < 1 || input.empty()) usage(argv[0]);
-  // The incremental chain lives on DecomposeContext; the fast path has its
-  // own (FastContext::repartition) but the demo exercises the full one.
+  // The one repartition chain lives on DecomposeContext; the fast path
+  // has none.
   if (fast && !repartition_file.empty()) usage(argv[0]);
 
   try {
