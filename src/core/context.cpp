@@ -7,9 +7,11 @@ namespace mmd {
 DecomposeContext::DecomposeContext(const Graph& g,
                                    const DecomposeOptions& options,
                                    DecomposeWorkspace* external_ws,
-                                   ThreadPool* external_pool)
+                                   ThreadPool* external_pool,
+                                   RepartitionChain* external_chain)
     : g_(&g), options_(options), external_pool_(external_pool),
-      ws_(external_ws ? external_ws : &own_ws_) {
+      ws_(external_ws ? external_ws : &own_ws_),
+      chain_(external_chain ? external_chain : &own_chain_) {
   MMD_REQUIRE(options.num_threads >= 1, "num_threads must be >= 1");
   reconcile(options);
 }
@@ -73,12 +75,13 @@ DecomposeResult DecomposeContext::decompose(std::span<const double> w,
 
 void DecomposeContext::set_weights(std::span<const double> w) {
   ExclusiveUse::Claim claim = claim_use();
+  RepartitionChain& c = *chain_;
   MMD_REQUIRE(static_cast<Vertex>(w.size()) == g_->num_vertices(),
               "weight arity mismatch");
   for (const double x : w)
     MMD_REQUIRE(std::isfinite(x) && x >= 0.0,
                 "weights must be finite and non-negative");
-  if (weights_bound_ && prior_valid_) {
+  if (c.weights_bound && c.prior_valid) {
     // A rebind is one big delta batch: record which vertices changed so
     // the next repartition's dirty region covers them.  reserve() first —
     // the only throwing step — so a failed rebind leaves the old binding
@@ -86,20 +89,21 @@ void DecomposeContext::set_weights(std::span<const double> w) {
     // allocate).
     std::vector<Vertex> changed;
     for (std::size_t v = 0; v < w.size(); ++v)
-      if (w[v] != weights_[v]) changed.push_back(static_cast<Vertex>(v));
-    pending_dirty_.reserve(pending_dirty_.size() + changed.size());
-    pending_dirty_.insert(pending_dirty_.end(), changed.begin(), changed.end());
+      if (w[v] != c.weights[v]) changed.push_back(static_cast<Vertex>(v));
+    c.pending_dirty.reserve(c.pending_dirty.size() + changed.size());
+    c.pending_dirty.insert(c.pending_dirty.end(), changed.begin(), changed.end());
   }
-  weights_.assign(w.begin(), w.end());
-  weights_bound_ = true;
+  c.weights.assign(w.begin(), w.end());
+  c.weights_bound = true;
 }
 
 std::size_t DecomposeContext::update_weights(std::span<const WeightDelta> deltas) {
   ExclusiveUse::Claim claim = claim_use();
-  MMD_REQUIRE(weights_bound_,
+  RepartitionChain& c = *chain_;
+  MMD_REQUIRE(c.weights_bound,
               "update_weights requires set_weights (no base weight vector "
               "is bound to this context)");
-  const auto n = static_cast<Vertex>(weights_.size());
+  const auto n = static_cast<Vertex>(c.weights.size());
   // Validate everything, then reserve (the one throwing operation), then
   // apply through a loop that cannot throw: a failed call mutates nothing.
   for (const WeightDelta& d : deltas) {
@@ -107,44 +111,45 @@ std::size_t DecomposeContext::update_weights(std::span<const WeightDelta> deltas
     MMD_REQUIRE(std::isfinite(d.weight) && d.weight >= 0.0,
                 "weight delta must be finite and non-negative");
   }
-  pending_dirty_.reserve(pending_dirty_.size() + deltas.size());
+  c.pending_dirty.reserve(c.pending_dirty.size() + deltas.size());
   for (const WeightDelta& d : deltas) {
-    weights_[static_cast<std::size_t>(d.v)] = d.weight;
-    pending_dirty_.push_back(d.v);  // no alloc: reserved above
+    c.weights[static_cast<std::size_t>(d.v)] = d.weight;
+    c.pending_dirty.push_back(d.v);  // no alloc: reserved above
   }
   return deltas.size();
 }
 
 DecomposeResult DecomposeContext::do_repartition() {
-  MMD_REQUIRE(weights_bound_,
+  RepartitionChain& c = *chain_;
+  MMD_REQUIRE(c.weights_bound,
               "repartition requires set_weights (no base weight vector is "
               "bound to this context)");
   ++stats_.repartition_calls;
   DecomposeResult r;
-  if (prior_valid_) {
+  if (c.prior_valid) {
     PriorSolution ps;
-    ps.coloring = &prior_coloring_;
-    ps.max_boundary = prior_max_boundary_;
-    ps.baseline_max_boundary = prior_baseline_boundary_;
-    ps.dirty = pending_dirty_;
+    ps.coloring = &c.prior_coloring;
+    ps.max_boundary = c.prior_max_boundary;
+    ps.baseline_max_boundary = c.prior_baseline_boundary;
+    ps.dirty = c.pending_dirty;
     DecomposeOptions opt = options_;
     opt.prior = &ps;
-    r = mmd::decompose(*g_, weights_, opt, *splitter_, ws_);
+    r = mmd::decompose(*g_, c.weights, opt, *splitter_, ws_);
     if (r.incremental) ++stats_.incremental_served;
     if (r.escalated) ++stats_.escalations;
   } else {
-    r = mmd::decompose(*g_, weights_, options_, *splitter_, ws_);
+    r = mmd::decompose(*g_, c.weights, options_, *splitter_, ws_);
   }
   // Adopt the solution as the new prior.  Stage the throwing copy first,
   // commit with a nothrow move: a mid-adoption allocation failure leaves
   // the previous prior (and the accumulated dirty set) intact, so a retry
   // re-solves from identical state.
   Coloring adopted = r.coloring;
-  prior_coloring_ = std::move(adopted);
-  prior_max_boundary_ = r.max_boundary;
-  if (!r.incremental) prior_baseline_boundary_ = r.max_boundary;
-  prior_valid_ = true;
-  pending_dirty_.clear();
+  c.prior_coloring = std::move(adopted);
+  c.prior_max_boundary = r.max_boundary;
+  if (!r.incremental) c.prior_baseline_boundary = r.max_boundary;
+  c.prior_valid = true;
+  c.pending_dirty.clear();
   return r;
 }
 
@@ -193,12 +198,8 @@ std::size_t splitter_estimate_bytes(const Graph& g) {
 }
 
 std::size_t DecomposeContext::memory_estimate_bytes() const {
-  const std::size_t repartition_bytes =
-      weights_.capacity() * sizeof(double) +
-      prior_coloring_.color.capacity() * sizeof(std::int32_t) +
-      pending_dirty_.capacity() * sizeof(Vertex);
-  return sizeof(*this) + splitter_estimate_bytes(*g_) + repartition_bytes +
-         own_ws_.memory_bytes();
+  return sizeof(*this) + splitter_estimate_bytes(*g_) +
+         own_chain_.memory_bytes() + own_ws_.memory_bytes();
 }
 
 }  // namespace mmd

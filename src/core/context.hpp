@@ -19,7 +19,7 @@
 // Thread safety: a context is an exclusive resource — one decompose call
 // at a time (the pool parallelizes *inside* a call, not across calls).
 // Use one context per thread for concurrent callers, or serialize access
-// the way PartitionService does (one admission batch per context at a
+// the way PartitionService does (one lane batch per context at a
 // time).  Every public call enters the ExclusiveUse guard below, so a
 // violated contract reports ConcurrentContextEntry diagnostics (and
 // throws InvariantViolation in Debug builds) instead of silently
@@ -110,6 +110,30 @@ struct DecomposeContextStats {
   long escalations = 0;          ///< of those, escalated to a full solve
 };
 
+/// The state a repartition chain carries from one call to the next: the
+/// current (post-delta) weights and the prior solution the next call
+/// seeds from.  None of it can be rebuilt from the graph, so a caller
+/// that drops and rebuilds contexts (PartitionService's byte budget)
+/// owns the chain itself and lends it to every context it builds; the
+/// rebuilt context then continues the chain exactly where the dropped
+/// one left it.  A context that is lent none uses its own.
+struct RepartitionChain {
+  std::vector<double> weights;  ///< current weights (valid once bound)
+  bool weights_bound = false;
+  Coloring prior_coloring;
+  double prior_max_boundary = 0.0;
+  double prior_baseline_boundary = 0.0;
+  bool prior_valid = false;
+  std::vector<Vertex> pending_dirty;  ///< cleared only by a successful solve
+
+  /// Heap bytes held, by capacity.
+  std::size_t memory_bytes() const {
+    return weights.capacity() * sizeof(double) +
+           prior_coloring.color.capacity() * sizeof(std::int32_t) +
+           pending_dirty.capacity() * sizeof(Vertex);
+  }
+};
+
 /// Reusable decomposition state bound to one graph.
 ///
 /// ```
@@ -131,9 +155,12 @@ class DecomposeContext {
   /// one regardless of options.num_threads and wires the external pool
   /// into its splitter instead — FastContext uses this to share one pool
   /// across the coarse-level context and the finest-level splitter.
+  /// `external_chain` (optional, borrowed, must outlive the context)
+  /// substitutes the context's own repartition chain.
   explicit DecomposeContext(const Graph& g, const DecomposeOptions& options = {},
                             DecomposeWorkspace* external_ws = nullptr,
-                            ThreadPool* external_pool = nullptr);
+                            ThreadPool* external_pool = nullptr,
+                            RepartitionChain* external_chain = nullptr);
   ~DecomposeContext();
 
   DecomposeContext(const DecomposeContext&) = delete;
@@ -155,9 +182,9 @@ class DecomposeContext {
   /// pending dirty set, so the next repartition treats the rebind as one
   /// big delta batch.
   void set_weights(std::span<const double> w);
-  bool has_weights() const { return weights_bound_; }
+  bool has_weights() const { return chain_->weights_bound; }
   /// The current (post-delta) weight vector (valid after set_weights).
-  std::span<const double> weights() const { return weights_; }
+  std::span<const double> weights() const { return chain_->weights; }
 
   /// Apply absolute weight deltas to the bound weight vector in place,
   /// without rebuilding the splitter or pool.  Validates every delta
@@ -211,13 +238,13 @@ class DecomposeContext {
   /// the splitter with its OrderingCache and per-lane scratch (a
   /// documented per-vertex estimate — the splitter internals are not
   /// instrumented).  Excludes the borrowed graph and any external
-  /// workspace/pool.  PartitionService charges cache entries with this.
+  /// workspace/pool/chain.  PartitionService charges cache entries with
+  /// this.
   std::size_t memory_estimate_bytes() const;
 
-  /// Claim exclusive use for a multi-call sequence (the service holds one
-  /// per admission batch).  Claims nest on the owning thread; an entry
-  /// from another thread while any claim is live is the misuse
-  /// ExclusiveUse reports.  decompose()/decompose_multi() take a claim
+  /// Claim exclusive use for a multi-call sequence.  Claims nest on the
+  /// owning thread; an entry from another thread while any claim is live
+  /// is the misuse ExclusiveUse reports.  decompose()/decompose_multi() take a claim
   /// internally, so single calls need none.
   ExclusiveUse::Claim claim_use() {
     return ExclusiveUse::Claim(use_, options_.diagnostics,
@@ -239,15 +266,8 @@ class DecomposeContext {
   DecomposeWorkspace* ws_;
   DecomposeContextStats stats_;
 
-  // Repartition chain state: the bound weight vector the deltas drift,
-  // and the cached prior solution the next call seeds from.
-  std::vector<double> weights_;
-  bool weights_bound_ = false;
-  Coloring prior_coloring_;
-  double prior_max_boundary_ = 0.0;
-  double prior_baseline_boundary_ = 0.0;
-  bool prior_valid_ = false;
-  std::vector<Vertex> pending_dirty_;  ///< cleared only by a successful solve
+  RepartitionChain own_chain_;
+  RepartitionChain* chain_;  ///< &own_chain_ or the borrowed chain
 };
 
 /// Estimated heap footprint of a warm splitter stack on `g` (OrderingCache

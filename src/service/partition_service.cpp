@@ -23,12 +23,9 @@ const char* to_string(ServiceStatus status) {
 }
 
 PartitionService::PartitionService(const PartitionServiceOptions& options)
-    : options_(options), queue_(options.queue_capacity) {
+    : options_(options) {
   MMD_REQUIRE(options.num_workers >= 1, "num_workers must be >= 1");
-  // A failed pool build leaves rounds on the serial loop, which computes
-  // identical responses; diag_.pool_construct_failures counts it.
-  if (options.num_workers > 1)
-    pool_ = make_thread_pool(options.num_workers, &diag_);
+  MMD_REQUIRE(options.queue_capacity >= 1, "queue capacity must be >= 1");
 }
 
 PartitionService::~PartitionService() { shutdown(); }
@@ -50,17 +47,18 @@ void PartitionService::load_graph(const std::string& name, Graph g,
   state->name = name;
   state->graph = std::move(g);
   state->weights = std::move(weights);
+  state->graph_bytes = state->pinned_bytes();
 
   std::lock_guard<std::mutex> lock(cache_mu_);
   auto it = graphs_.find(name);
   if (it != graphs_.end()) {
-    // Replace: unlink the old state; a round still pinning it keeps it
+    // Replace: unlink the old state; a batch still pinning it keeps it
     // alive (doomed) until checkin.
-    cached_bytes_ -= it->second->cached_bytes;
-    it->second->doomed = true;
+    unlink_locked(*it->second);
     graphs_.erase(it);
   }
   state->last_use = ++lru_tick_;
+  graph_bytes_ += state->graph_bytes;
   graphs_.emplace(name, std::move(state));
 }
 
@@ -74,8 +72,7 @@ bool PartitionService::evict_graph(const std::string& name) {
   std::lock_guard<std::mutex> lock(cache_mu_);
   auto it = graphs_.find(name);
   if (it == graphs_.end()) return false;
-  cached_bytes_ -= it->second->cached_bytes;
-  it->second->doomed = true;  // a pinning round frees it at checkin
+  unlink_locked(*it->second);  // a pinning batch frees it at checkin
   graphs_.erase(it);
   return true;
 }
@@ -88,111 +85,119 @@ bool PartitionService::has_graph(const std::string& name) const {
 ServiceResponse PartitionService::execute(const ServiceRequest& request) {
   Pending pending;
   pending.request = &request;
-  if (!queue_.push(&pending)) {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return shutdown_ || queued_ < options_.queue_capacity; });
+  if (shutdown_) {
     pending.response.status = ServiceStatus::ShuttingDown;
     pending.response.error = "mmd: service is shutting down";
     return std::move(pending.response);
   }
+  // Admission is the dispatch's only allocation, so a failure here leaves
+  // every lane as it was.
+  try {
+    const auto [lane, inserted] = lanes_.try_emplace(request.graph);
+    try {
+      lane->second.queue.push_back(&pending);
+    } catch (...) {
+      if (inserted) lanes_.erase(lane);
+      throw;
+    }
+    pending.lane = lane;
+  } catch (const std::bad_alloc&) {
+    pending.response.status = ServiceStatus::ResourceExhausted;
+    return std::move(pending.response);
+  }
+  pending.seq = ++seq_;
+  pending.admitted = ExecControl::Clock::now();
+  ++queued_;
 
-  // Combining leader: whoever finds no round in flight drains the whole
-  // backlog (its own request included — some leader always picks it up,
-  // since draining is serialized under round_mu_) and serves it as one
-  // round; everyone else parks until their flag flips.
-  std::unique_lock<std::mutex> lock(round_mu_);
+  // While this request's lane is idle, its caller may take a lane: the
+  // ready one whose front request is oldest (its own lane is ready, so
+  // there is one).  Otherwise it waits for its request to finish or for
+  // a slot to free up.
   while (!pending.done) {
-    if (!leader_active_) {
-      std::vector<Pending*> round;
-      if (queue_.try_pop_all(round) == 0) {
-        round_cv_.wait(lock);
-        continue;
+    if (!pending.lane->second.active && active_ < options_.num_workers) {
+      Lanes::iterator oldest = lanes_.end();
+      for (auto it = lanes_.begin(); it != lanes_.end(); ++it) {
+        const Lane& l = it->second;
+        if (l.active || l.queue.empty()) continue;
+        if (oldest == lanes_.end() ||
+            l.queue.front()->seq < oldest->second.queue.front()->seq)
+          oldest = it;
       }
-      leader_active_ = true;
-      lock.unlock();
-      try {
-        process_round(round);
-      } catch (...) {
-        // process_round contains every per-request failure; reaching here
-        // means the round scaffolding itself failed (e.g. allocation).
-        // Responses still at their default InternalError stay that way.
-        for (Pending* p : round) {
-          if (p->response.error.empty() &&
-              p->response.status == ServiceStatus::InternalError) {
-            p->response.error = "mmd: round aborted by an unexpected error";
-          }
-        }
-      }
-      lock.lock();
-      for (Pending* p : round) p->done = true;
-      leader_active_ = false;
-      round_cv_.notify_all();
+      serve_batch(lock, oldest);
     } else {
-      round_cv_.wait(lock);
+      cv_.wait(lock);
     }
   }
   return std::move(pending.response);
 }
 
-void PartitionService::process_round(std::vector<Pending*>& round) {
-  // Group by graph, preserving arrival order within each group — the
-  // whole point of batching: every request of a group runs back to back
-  // on the same warm context.
-  std::vector<Group> groups;
+void PartitionService::serve_batch(std::unique_lock<std::mutex>& lock,
+                                   Lanes::iterator lane) {
+  // Claim the lane.  Nothing from here to the end allocates outside the
+  // contained execute_one calls, so the lane is always checked back in.
+  std::vector<Pending*> batch;
+  batch.swap(lane->second.queue);
+  lane->second.active = true;
+  ++active_;
+  queued_ -= batch.size();
+  cv_.notify_all();  // admission room
+  lock.unlock();
+
+  // Pin the graph so an evict_graph racing the batch unlinks but never
+  // destroys the state mid-use.  The key is immutable and the lane node
+  // stays put while it is active.
+  std::shared_ptr<GraphState> gs;
   {
-    std::unordered_map<std::string, std::size_t> index;
-    for (Pending* p : round) {
-      auto [it, inserted] = index.emplace(p->request->graph, groups.size());
-      if (inserted) groups.emplace_back();
-      groups[it->second].requests.push_back(p);
+    std::lock_guard<std::mutex> cache_lock(cache_mu_);
+    const auto it = graphs_.find(lane->first);
+    if (it != graphs_.end()) {
+      gs = it->second;
+      ++gs->pins;
+      gs->last_use = ++lru_tick_;
     }
   }
 
-  // Resolve + pin every group's graph up front so an evict_graph racing
-  // the round unlinks but never destroys a state mid-use.
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    for (Group& g : groups) {
-      auto it = graphs_.find(g.requests.front()->request->graph);
-      if (it == graphs_.end()) continue;
-      g.state = it->second;
-      ++g.state->pins;
-      g.state->last_use = ++lru_tick_;
+  for (Pending* p : batch) {
+    try {
+      execute_one(gs.get(), *p);
+    } catch (...) {
+      // Only execute_one's bookkeeping can get here, after the response
+      // holds its typed status.
     }
+    std::lock_guard<std::mutex> done_lock(mu_);
+    p->done = true;  // p belongs to its caller from here on
+    cv_.notify_all();
   }
 
-  const auto run_group = [&](int gi) {
-    Group& g = groups[static_cast<std::size_t>(gi)];
-    for (Pending* p : g.requests) execute_one(g.state.get(), *p);
-  };
-  if (pool_ != nullptr && groups.size() > 1) {
-    // execute_one is exception-contained, so nothing reaches the pool's
-    // rethrow path in practice; if something ever does, the caller's
-    // catch-all keeps the round's other responses intact.
-    pool_->run(static_cast<int>(groups.size()), run_group);
-  } else {
-    for (std::size_t gi = 0; gi < groups.size(); ++gi)
-      run_group(static_cast<int>(gi));
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    for (Group& g : groups) {
-      if (g.state != nullptr) checkin_locked(*g.state);
-    }
+  if (gs != nullptr) {
+    std::lock_guard<std::mutex> cache_lock(cache_mu_);
+    checkin_locked(*gs);
     evict_until_within_budget_locked();
   }
-
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
+    std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.rounds;
-    if (round.size() > 1) {
-      stats_.batched_requests += static_cast<long>(round.size());
-    }
+    if (batch.size() > 1)
+      stats_.batched_requests += static_cast<long>(batch.size());
   }
+
+  lock.lock();
+  --active_;
+  if (lane->second.queue.empty()) {
+    lanes_.erase(lane);
+  } else {
+    lane->second.active = false;
+  }
+  cv_.notify_all();  // a free slot, and maybe a ready lane
 }
 
 void PartitionService::execute_one(GraphState* gs, Pending& p) {
   const ServiceRequest& req = *p.request;
   ServiceResponse& resp = p.response;
+  const std::chrono::duration<double> wait =
+      ExecControl::Clock::now() - p.admitted;
   Timer timer;
   bool warm = false;
   if (gs == nullptr) {
@@ -217,16 +222,22 @@ void PartitionService::execute_one(GraphState* gs, Pending& p) {
           ExecControl::Clock::now() + std::chrono::milliseconds(req.timeout_ms));
     }
 
-    if (req.mode == RequestMode::Decompose) {
+    // Construct without the per-call exec state; the call below
+    // reconciles the full options (construction itself is cheap —
+    // splitter caches fill lazily inside the first call).  A rebuilt
+    // context borrows the graph's chain, so an evicted repartition chain
+    // continues from its prior.
+    const auto ensure_ctx = [&] {
       warm = gs->ctx != nullptr;
-      if (!warm) {
-        // Construct without the per-call exec state; the call below
-        // reconciles the full options (construction itself is cheap —
-        // splitter caches fill lazily inside the first decompose).
-        DecomposeOptions copt = opt;
-        copt.exec = ExecControl{};
-        gs->ctx = std::make_unique<DecomposeContext>(gs->graph, copt);
-      }
+      if (warm) return;
+      DecomposeOptions copt = opt;
+      copt.exec = ExecControl{};
+      gs->ctx = std::make_unique<DecomposeContext>(gs->graph, copt, nullptr,
+                                                   nullptr, &gs->chain);
+    };
+
+    if (req.mode == RequestMode::Decompose) {
+      ensure_ctx();
       DecomposeResult r = gs->ctx->decompose(w, opt);
       resp.coloring = std::move(r.coloring);
       resp.balance = r.balance;
@@ -238,13 +249,8 @@ void PartitionService::execute_one(GraphState* gs, Pending& p) {
                   "repartition expresses drift via deltas; a full weight "
                   "vector is not accepted (use mode decompose, or rebind "
                   "by reloading the graph)");
-      warm = gs->ctx != nullptr;
-      if (!warm) {
-        DecomposeOptions copt = opt;
-        copt.exec = ExecControl{};
-        gs->ctx = std::make_unique<DecomposeContext>(gs->graph, copt);
-      }
-      // First repartition on this context: bind the chain's base weights
+      ensure_ctx();
+      // First repartition on this graph: bind the chain's base weights
       // from the graph's registered weights.
       if (!gs->ctx->has_weights()) gs->ctx->set_weights(gs->weights);
       DecomposeResult r = gs->ctx->repartition(req.deltas, opt);
@@ -323,6 +329,13 @@ void PartitionService::execute_one(GraphState* gs, Pending& p) {
     }
   }
   latency_.record(resp.seconds);
+  queue_wait_.record(wait.count());
+}
+
+void PartitionService::unlink_locked(GraphState& gs) {
+  cached_bytes_ -= gs.cached_bytes;
+  graph_bytes_ -= gs.graph_bytes;
+  gs.doomed = true;
 }
 
 void PartitionService::checkin_locked(GraphState& gs) {
@@ -334,6 +347,10 @@ void PartitionService::checkin_locked(GraphState& gs) {
   cached_bytes_ += now_bytes;
   cached_bytes_ -= gs.cached_bytes;
   gs.cached_bytes = now_bytes;
+  const std::size_t now_graph_bytes = gs.pinned_bytes();
+  graph_bytes_ += now_graph_bytes;
+  graph_bytes_ -= gs.graph_bytes;
+  gs.graph_bytes = now_graph_bytes;
 }
 
 void PartitionService::evict_until_within_budget_locked() {
@@ -355,6 +372,11 @@ void PartitionService::evict_until_within_budget_locked() {
 }
 
 ServiceStats PartitionService::stats() const {
+  std::size_t queued = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queued = queued_;
+  }
   ServiceStats out;
   // Lock order: cache_mu_ before stats_mu_, everywhere.
   std::lock_guard<std::mutex> cache_lock(cache_mu_);
@@ -362,23 +384,25 @@ ServiceStats PartitionService::stats() const {
   out = stats_;
   out.context_evictions = evictions_;
   out.cached_bytes = cached_bytes_;
+  out.graph_bytes = graph_bytes_;
   out.graphs_loaded = graphs_.size();
+  out.queued = queued;
   out.p50_seconds = latency_.percentile(0.50);
   out.p95_seconds = latency_.percentile(0.95);
   out.p99_seconds = latency_.percentile(0.99);
+  out.queue_wait_p50_seconds = queue_wait_.percentile(0.50);
+  out.queue_wait_p95_seconds = queue_wait_.percentile(0.95);
+  out.queue_wait_p99_seconds = queue_wait_.percentile(0.99);
   return out;
 }
 
 void PartitionService::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(round_mu_);
-    shutdown_ = true;
-  }
-  queue_.close();
-  // Every queued Pending has an owner thread blocked in execute(), so the
-  // backlog drains itself; wait for the last round to finish.
-  std::unique_lock<std::mutex> lock(round_mu_);
-  round_cv_.wait(lock, [&] { return !leader_active_ && queue_.size() == 0; });
+  std::unique_lock<std::mutex> lock(mu_);
+  shutdown_ = true;
+  cv_.notify_all();  // callers blocked on admission give up
+  // Every queued request has its caller waiting in execute(), and those
+  // callers serve their lanes, so the lanes drain themselves.
+  cv_.wait(lock, [&] { return queued_ == 0 && active_ == 0; });
 }
 
 }  // namespace mmd

@@ -1,5 +1,5 @@
-// PartitionService: a long-lived fleet of warm contexts behind one
-// admission queue.
+// PartitionService: a long-lived fleet of warm contexts behind per-graph
+// request lanes.
 //
 // Everything below the service layer is built for exactly this embedding:
 // DecomposeContext / FastContext keep splitters, OrderingCaches, and
@@ -14,12 +14,15 @@
 //   * a registry of graphs, each owning at most one DecomposeContext and
 //     one FastContext, behind an LRU cache with a byte budget
 //     (memory_estimate_bytes ranks contexts; eviction drops *contexts*,
-//     never registered graphs — graphs leave only via evict_graph),
-//   * bounded admission with request batching: concurrent execute() calls
-//     enqueue and one caller becomes the round leader, draining the whole
-//     backlog into one round, grouping it by graph (so every request of a
-//     group runs on the same warm context back to back — the group-commit
-//     shape), and running the groups over an optional worker pool,
+//     never registered graphs or their repartition chains — graphs
+//     leave only via evict_graph),
+//   * per-graph FIFO lanes with request batching: execute() admits the
+//     request to its graph's lane (bounded: backpressure), and the
+//     waiting callers serve the lanes themselves — a caller whose lane is
+//     idle takes the ready lane with the oldest front request, swaps out
+//     its whole queue as one batch, and serves it back to back on the
+//     graph's warm context (the group-commit shape), releasing each
+//     response the moment that request finishes,
 //   * per-request isolation: each request's outcome — including
 //     DeadlineExceeded, Cancelled, injected faults, and allocation
 //     failure — is caught at the request boundary and returned as a typed
@@ -27,26 +30,28 @@
 //     healthy (the PR 6 fault-injection fuzz pins that contexts survive
 //     every such exception).
 //
-// Concurrency shape: contexts are exclusive resources (ExclusiveUse), so
-// the service never runs two requests on one graph concurrently — a round
-// runs its *groups* in parallel, and requests within a group serially.
-// Different rounds never overlap (one leader at a time), which is also
-// what lets a round create or rebuild contexts without holding the cache
-// lock.  Request-level num_threads still works: a context's own pool
-// forks inside the group's lane (on a service worker thread the nested
-// pool degrades to the inline serial loop — ThreadPool::on_worker_thread
-// — with bit-identical results).
+// Concurrency shape: the callers supply every thread — there is no
+// service pool.  Up to num_workers lanes are in service at once, each
+// by one caller, so different graphs run in parallel while a graph's
+// requests run serially in arrival order (contexts are exclusive
+// resources, ExclusiveUse, and repartition chains see their deltas in
+// order).  A free slot never waits while a lane has queued work: the
+// callers of a ready lane are awake and eligible to take it.  A request
+// with num_threads > 1 forks on its context's own pool from the serving
+// caller's thread; its answer is bit-identical to num_threads == 1.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/context.hpp"
 #include "core/fast.hpp"
-#include "util/bounded_queue.hpp"
 #include "util/latency.hpp"
 
 namespace mmd {
@@ -95,9 +100,11 @@ struct ServiceRequest {
   /// empty for RequestMode::Repartition (drift is expressed via `deltas`;
   /// mixing both is a BadRequest).
   std::vector<double> weights;
-  /// Weight deltas of a Repartition request, applied to the graph's warm
-  /// context before solving.  The chain's base weights are bound from the
-  /// registered weights on the first repartition.  Deltas carry absolute
+  /// Weight deltas of a Repartition request, applied to the graph's
+  /// repartition chain before solving.  The chain's base weights are bound
+  /// from the registered weights on the first repartition; the chain
+  /// belongs to the graph, not to its context, so it survives context
+  /// eviction (only a reload of the graph restarts it).  Deltas carry absolute
   /// weights and the context clears its dirty set only on success, so a
   /// request that fails with a retryable status (deadline, cancel,
   /// resource_exhausted) leaves the chain consistent: re-sending the same
@@ -139,13 +146,21 @@ struct ServiceStats {
   long cache_hits = 0;      ///< requests served by a pre-existing context
   long cache_misses = 0;    ///< requests that had to build their context
   long context_evictions = 0;  ///< contexts dropped by the byte budget
-  long rounds = 0;          ///< leader rounds executed
-  long batched_requests = 0;   ///< requests that shared a round with others
+  long rounds = 0;          ///< lane batches served (one graph each)
+  long batched_requests = 0;   ///< requests that shared a lane batch with others
   long repartitions = 0;           ///< Repartition requests executed
   long repartition_escalations = 0;  ///< of those, escalated to full solves
   std::size_t cached_bytes = 0;   ///< current context-budget usage
+  /// Registered graphs with their weights and repartition chains: outside
+  /// the context budget, never evicted.
+  std::size_t graph_bytes = 0;
   std::size_t graphs_loaded = 0;  ///< registry size
+  std::size_t queued = 0;  ///< requests admitted, not yet taken into a batch
+  /// Execution time per request (start of service to response).
   double p50_seconds = 0.0, p95_seconds = 0.0, p99_seconds = 0.0;
+  /// Queue wait per request (admission to start of service).
+  double queue_wait_p50_seconds = 0.0, queue_wait_p95_seconds = 0.0,
+         queue_wait_p99_seconds = 0.0;
 
   double hit_rate() const {
     const long total = cache_hits + cache_misses;
@@ -155,19 +170,20 @@ struct ServiceStats {
 
 struct PartitionServiceOptions {
   /// Byte budget for cached contexts (memory_estimate_bytes sum).  When a
-  /// finished round pushes the total past the budget, cold (least
+  /// finished lane batch pushes the total past the budget, cold (least
   /// recently used, unpinned) graphs lose their contexts until the total
   /// fits; the graphs themselves stay registered.  A single context
   /// larger than the whole budget is still admitted while in use and
   /// evicted at the next opportunity — the budget bounds *retained* warm
   /// state, it never fails a request.
   std::size_t context_budget_bytes = std::size_t(256) << 20;
-  /// Admission queue bound: execute() blocks (backpressure) while this
-  /// many requests are already queued.
+  /// Admission bound: execute() blocks (backpressure) while this many
+  /// requests are queued on the lanes, not yet taken into a batch.
   std::size_t queue_capacity = 256;
-  /// Service-level worker lanes for a round's per-graph groups; 1 =
-  /// groups run serially on the leader.  Independent of (and composing
-  /// with) per-request DecomposeOptions::num_threads.
+  /// Most graph lanes in service at once, each served by one of its own
+  /// waiting callers (the service starts no threads); 1 = one batch at a
+  /// time.  Independent of (and composing with) per-request
+  /// DecomposeOptions::num_threads.
   int num_workers = 1;
 };
 
@@ -192,15 +208,15 @@ class PartitionService {
   /// read_metis_file + load_graph.  Propagates ParseError untouched.
   void load_graph_file(const std::string& name, const std::string& path);
   /// Unregister `name` (graph + contexts).  A graph pinned by an
-  /// in-flight round is unlinked immediately and destroyed when the round
+  /// in-flight batch is unlinked immediately and destroyed when the batch
   /// finishes.  Returns false if no such graph was loaded.
   bool evict_graph(const std::string& name);
   bool has_graph(const std::string& name) const;
 
-  /// Execute one request: enqueue (blocking while the admission queue is
-  /// full), ride a batching round, return the typed outcome.  Never
-  /// throws a library error — see ServiceStatus.  Safe from any number of
-  /// client threads.
+  /// Execute one request: admit it to its graph's lane (blocking while
+  /// queue_capacity requests are queued), serve lane batches until it is
+  /// done, return the typed outcome.  Never throws a library error — see
+  /// ServiceStatus.  Safe from any number of client threads.
   ServiceResponse execute(const ServiceRequest& request);
 
   ServiceStats stats() const;
@@ -209,7 +225,7 @@ class PartitionService {
   DecomposeDiagnostics& diagnostics() { return diag_; }
 
   /// Stop admitting (queued and in-flight requests still complete; new
-  /// execute() calls return ShuttingDown) and wait for the backlog to
+  /// execute() calls return ShuttingDown) and wait for every lane to
   /// drain.  Idempotent; the destructor calls it.
   void shutdown();
 
@@ -219,60 +235,82 @@ class PartitionService {
     std::string name;
     Graph graph;
     std::vector<double> weights;  ///< default weights of the graph
+    /// Owned here and lent to ctx, so it outlives every evicted context.
+    RepartitionChain chain;
     std::unique_ptr<DecomposeContext> ctx;
     std::unique_ptr<FastContext> fctx;
     std::size_t cached_bytes = 0;  ///< last accounted context estimate
-    int pins = 0;                  ///< rounds currently using this graph
+    std::size_t graph_bytes = 0;   ///< last accounted pinned_bytes()
+    int pins = 0;                  ///< batches currently using this graph
     std::uint64_t last_use = 0;    ///< LRU tick
     bool doomed = false;           ///< evicted while pinned; free on unpin
+
+    /// Graph, weights and chain: the bytes no eviction frees.
+    std::size_t pinned_bytes() const {
+      return graph.memory_bytes() + weights.capacity() * sizeof(double) +
+             chain.memory_bytes();
+    }
   };
 
-  /// A client's parked request (stack-owned by its execute() frame).
+  struct Pending;
+  /// One graph's FIFO of admitted requests.  A lane exists while it has
+  /// queued requests or a batch in service.
+  struct Lane {
+    std::vector<Pending*> queue;  ///< swapped out whole as one batch
+    bool active = false;          ///< a caller is serving a batch of it
+  };
+  /// Node-based, so a lane's iterator stays valid while other lanes come
+  /// and go.
+  using Lanes = std::map<std::string, Lane>;
+
+  /// A client's admitted request (stack-owned by its execute() frame).
   struct Pending {
     const ServiceRequest* request = nullptr;
+    Lanes::iterator lane;  ///< valid until done
+    std::uint64_t seq = 0;  ///< admission order across lanes
+    ExecControl::Clock::time_point admitted;
     ServiceResponse response;
     bool done = false;
   };
 
-  /// A round's per-graph slice: requests in arrival order plus the
-  /// resolved (pinned) state; null state = graph not loaded.
-  struct Group {
-    std::shared_ptr<GraphState> state;
-    std::vector<Pending*> requests;
-  };
-
-  void process_round(std::vector<Pending*>& round);
+  /// Take `lane`'s whole queue as one batch and serve it on the graph's
+  /// warm context.  Called and returns with `lock` (on mu_) held.
+  void serve_batch(std::unique_lock<std::mutex>& lock, Lanes::iterator lane);
   /// Serve one request on `gs` (null = graph not loaded), mapping every
-  /// exception to a typed status; never throws.
+  /// request failure to a typed status.
   void execute_one(GraphState* gs, Pending& p);
-  /// Re-account a state's context bytes and run LRU eviction; both under
-  /// cache_mu_.
+  /// Unlink accounting of an unregistered state, checkin, and LRU
+  /// eviction; all under cache_mu_.
+  void unlink_locked(GraphState& gs);
   void checkin_locked(GraphState& gs);
   void evict_until_within_budget_locked();
 
   const PartitionServiceOptions options_;
   DecomposeDiagnostics diag_;
 
-  // Admission + round leadership.  round_mu_ guards leader_active_,
-  // shutdown_, and every Pending::done flag.
-  BoundedQueue<Pending*> queue_;
-  mutable std::mutex round_mu_;
-  std::condition_variable round_cv_;
-  bool leader_active_ = false;
+  // Lanes.  mu_ guards every lane, the counters below and every
+  // Pending::done flag.
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  Lanes lanes_;
+  std::size_t queued_ = 0;  ///< admitted requests not yet in a batch
+  int active_ = 0;          ///< lanes in service
+  std::uint64_t seq_ = 0;
   bool shutdown_ = false;
-  std::unique_ptr<ThreadPool> pool_;  ///< group lanes (num_workers > 1)
 
   // Graph registry + context cache.
   mutable std::mutex cache_mu_;
   std::unordered_map<std::string, std::shared_ptr<GraphState>> graphs_;
   std::size_t cached_bytes_ = 0;
+  std::size_t graph_bytes_ = 0;
   std::uint64_t lru_tick_ = 0;
   long evictions_ = 0;
 
-  // Counters + latency reservoir.
+  // Counters + latency reservoirs.
   mutable std::mutex stats_mu_;
   ServiceStats stats_;
   LatencyRecorder latency_;
+  LatencyRecorder queue_wait_;
 };
 
 }  // namespace mmd

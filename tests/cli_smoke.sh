@@ -136,6 +136,7 @@ else
   echo "ok: serve warm == cold (modulo warm flag)"
 fi
 expect_contains "stats" 4 '"cache_hits":1'
+expect_contains "stats queue wait" 4 '"queue_wait_p50_seconds":'
 expect_contains "evict" 5 '"existed":true'
 expect_contains "decompose after evict" 6 '"status":"not_found"'
 expect_contains "malformed line survives" 7 '"status":"bad_request"'

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/context.hpp"
@@ -457,37 +458,47 @@ TEST(ThreadPoolFallback, FastContextDegradesToSerial) {
   EXPECT_EQ(diag.pool_construct_failures.load(), 1);
 }
 
-TEST(ThreadPoolFallback, PartitionServiceDegradesToSerial) {
+TEST(ThreadPoolFallback, PartitionServiceWorkersMatchSerial) {
+  // The service builds no pool: its callers serve the lanes.  Four
+  // workers fed by four concurrent clients answer bit-identically to one
+  // worker, including a request whose num_threads forks on its context's
+  // own pool from the serving caller's thread, and no pool build fails.
   const Graph g = pool_fallback_grid();
   const auto w = testing::weights_for(g, WeightModel::Bimodal, 29);
   PartitionServiceOptions so;
   so.num_workers = 4;
-  std::unique_ptr<PartitionService> service;
-  ASSERT_GE(build_with_failed_pool(
-                [&] { service = std::make_unique<PartitionService>(so); }),
-            0);
-  EXPECT_EQ(service->diagnostics().pool_construct_failures.load(), 1);
-
+  PartitionService service(so);
   so.num_workers = 1;
   PartitionService serial(so);
-  ServiceRequest req;
-  req.options.k = 6;
-  for (const char* name : {"a", "b"}) {
-    service->load_graph(name, Graph(g), w);
+  const char* names[] = {"a", "b", "c", "d"};
+  for (const char* name : names) {
+    service.load_graph(name, Graph(g), w);
     serial.load_graph(name, Graph(g), w);
   }
-  for (const RequestMode mode : {RequestMode::Decompose, RequestMode::Fast}) {
+  const auto request = [&](int i, const RequestMode mode) {
+    ServiceRequest req;
+    req.graph = names[i];
     req.mode = mode;
-    for (const char* name : {"a", "b"}) {
-      req.graph = name;
-      const ServiceResponse got = service->execute(req);
-      const ServiceResponse want = serial.execute(req);
-      ASSERT_EQ(got.status, ServiceStatus::Ok) << got.error;
+    req.options.k = 6;
+    req.options.num_threads = i == 3 ? 4 : 1;
+    return req;
+  };
+  for (const RequestMode mode : {RequestMode::Decompose, RequestMode::Fast}) {
+    std::vector<ServiceResponse> got(4);
+    std::vector<std::thread> clients;
+    for (int i = 0; i < 4; ++i)
+      clients.emplace_back([&, i] { got[i] = service.execute(request(i, mode)); });
+    for (std::thread& t : clients) t.join();
+    for (int i = 0; i < 4; ++i) {
+      const ServiceResponse want = serial.execute(request(i, mode));
+      ASSERT_EQ(got[i].status, ServiceStatus::Ok) << got[i].error;
       ASSERT_EQ(want.status, ServiceStatus::Ok) << want.error;
-      EXPECT_EQ(got.coloring.color, want.coloring.color);
+      EXPECT_EQ(got[i].coloring.color, want.coloring.color) << names[i];
+      EXPECT_EQ(got[i].max_boundary, want.max_boundary) << names[i];
     }
   }
-  EXPECT_EQ(service->diagnostics().pool_construct_failures.load(), 1);
+  EXPECT_EQ(service.diagnostics().pool_construct_failures.load(), 0);
+  EXPECT_EQ(serial.diagnostics().pool_construct_failures.load(), 0);
 }
 
 }  // namespace

@@ -24,6 +24,12 @@ struct FormatCase {
   bool weights, costs;      ///< what the adjacency lines carry
 };
 
+// Without this, gtest names each case after the raw bytes of its pointers,
+// which differ from one run to the next.
+void PrintTo(const FormatCase& c, std::ostream* os) {
+  *os << "header n m" << c.header_tail;
+}
+
 class MetisIoFormat : public ::testing::TestWithParam<FormatCase> {};
 
 TEST_P(MetisIoFormat, RoundTripsWithUnitDefaults) {
@@ -118,7 +124,8 @@ INSTANTIATE_TEST_SUITE_P(
                      "2 1 111\n1 1.0 2 1.0\n1 1.0 1 1.0\n", 1},
         RejectedCase{"multi_constraint",
                      "2 1 010 2\n1.0 1.0 2\n1.0 1.0 1\n", 1},
-        RejectedCase{"zero_ncon", "2 1 010 0\n1.0 2\n1.0 1\n", 1},
+        RejectedCase{"zero_constraint_count", "2 1 010 0\n1.0 2\n1.0 1\n",
+                     1},
         RejectedCase{"unweighted_missing_cost", "2 1 1\n2\n1 1.0\n", 2},
         RejectedCase{"unweighted_edge_count_mismatch", "2 2\n2\n1\n", 1},
         RejectedCase{"comment_does_not_count_as_vertex",

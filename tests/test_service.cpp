@@ -20,7 +20,6 @@
 #include "io/metis_io.hpp"
 #include "service/partition_service.hpp"
 #include "test_helpers.hpp"
-#include "util/bounded_queue.hpp"
 #include "util/fault.hpp"
 #include "util/latency.hpp"
 
@@ -374,26 +373,6 @@ TEST_F(Service, FastContextGuardDiagnosesConcurrentEntry) {
 }
 
 // ---- service-layer primitives ----------------------------------------------
-
-TEST_F(Service, BoundedQueueOrderBackpressureAndClose) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3)) << "capacity 2 must reject the third";
-
-  std::vector<int> drained;
-  EXPECT_EQ(q.try_pop_all(drained), 2u);
-  EXPECT_EQ(drained, (std::vector<int>{1, 2}));
-  EXPECT_EQ(q.size(), 0u);
-
-  EXPECT_TRUE(q.push(7));
-  q.close();
-  EXPECT_FALSE(q.push(8)) << "closed queue admits nothing";
-  auto v = q.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-  EXPECT_FALSE(q.pop().has_value()) << "closed and drained";
-}
 
 TEST_F(Service, LatencyRecorderExactPercentilesAndBoundedReservoir) {
   LatencyRecorder lat(8);

@@ -43,11 +43,11 @@
 //
 // reads one JSON object per line from stdin and answers one JSON object
 // per line on stdout, fronting a PartitionService (warm contexts, LRU
-// byte budget, request batching).  Ops: load, decompose, repartition,
-// stats, evict, shutdown.  The repartition op carries weight deltas in a
-// "deltas" string field ("v:w v:w ...", absolute new weights) and answers
-// with migration_cost/incremental/escalated alongside the usual quality
-// fields.  Request errors — malformed JSON included — are answered
+// byte budget, per-graph request lanes with batching).  Ops: load,
+// decompose, repartition, stats, evict, shutdown.  The repartition op
+// carries weight deltas in a "deltas" string field ("v:w v:w ...",
+// absolute new weights) and answers with migration_cost/incremental/
+// escalated alongside the usual quality fields.  Request errors — malformed JSON included — are answered
 // in-band ({"ok":false,...}) and never kill the session; the process
 // exits 0 on stdin EOF or a shutdown op (2 only for bad --serve usage).
 #include <cstdio>
@@ -87,7 +87,11 @@ namespace {
                "       [--compare] [--quiet] [--verify] [--mem-stats] "
                "<input.graph>\n"
                "       %s --serve [--budget-kb <kb>] [--queue <n>] "
-               "[--workers <n>]\n",
+               "[--workers <n>]\n"
+               "         --workers: graph lanes in service at once, each "
+               "served by one of its\n"
+               "         own callers (a request's \"threads\" still forks "
+               "inside its lane)\n",
                argv0, argv0);
   std::exit(2);
 }
@@ -302,10 +306,15 @@ int serve_main(const mmd::PartitionServiceOptions& service_options) {
           .add("repartitions", s.repartitions)
           .add("repartition_escalations", s.repartition_escalations)
           .add("cached_bytes", static_cast<long>(s.cached_bytes))
+          .add("graph_bytes", static_cast<long>(s.graph_bytes))
           .add("graphs_loaded", static_cast<long>(s.graphs_loaded))
+          .add("queued", static_cast<long>(s.queued))
           .add("p50_seconds", s.p50_seconds)
           .add("p95_seconds", s.p95_seconds)
-          .add("p99_seconds", s.p99_seconds);
+          .add("p99_seconds", s.p99_seconds)
+          .add("queue_wait_p50_seconds", s.queue_wait_p50_seconds)
+          .add("queue_wait_p95_seconds", s.queue_wait_p95_seconds)
+          .add("queue_wait_p99_seconds", s.queue_wait_p99_seconds);
       emit(w);
     } else if (op == "evict") {
       const std::string graph = jsonl::get_string(obj, "graph", "", error);

@@ -3,7 +3,8 @@
 //   trace_replay [out.json] [--label <s>] [--requests <n>] [--clients <n>]
 //                [--graphs <n>] [--workers <n>] [--budget-kb <kb>]
 //                [--zipf <alpha>] [--seed <s>]
-//   trace_replay [out.json] --drift [--steps <n>] [--label <s>] [--seed <s>]
+//   trace_replay [out.json] --drift [--steps <n>] [--budget-kb <kb>]
+//                [--label <s>] [--seed <s>]
 //
 // Drives the service the way a real embedding would and measures what a
 // real embedding cares about:
@@ -15,7 +16,7 @@
 //     heavy-tailed weight vectors — the batching sweet spot: same graph,
 //     different request parameters, one warm context,
 //   * bursty arrivals: clients fire back to back with occasional jittered
-//     gaps, so rounds see real backlogs,
+//     gaps, so graph lanes see real backlogs,
 //   * and, after the run, a *serial oracle replay*: every request is
 //     recomputed with a fresh transient decompose/decompose_fast call and
 //     the service's response must be bit-identical (coloring bytes) with
@@ -23,8 +24,9 @@
 //     result, only its latency.  Any mismatch makes the exit code
 //     nonzero.
 //
-// Results (requests/sec, p50/p95/p99/max latency, cache hit rate,
-// evictions, batching counters, oracle verdict) land in the output JSON
+// Results (requests/sec, p50/p95/p99/max latency, the service's queue
+// wait percentiles, cache hit rate, evictions, batching counters, oracle
+// verdict) land in the output JSON
 // (default BENCH_PR7.json), one flat object, CI-artifact-ready.
 //
 // --drift switches to the weight-drift trajectory suite (PR 8): two
@@ -35,9 +37,12 @@
 // served coloring must pass verify_decomposition; full-recompute steps
 // (the cold bind and every escalation) must be bit-identical to both the
 // warm rival and a transient cold decompose; incremental steps must stay
-// inside the boundary-growth envelope.  Per-step rows (timings, migration
-// fraction, escalation flags) land in BENCH_PR8.json by default; any
-// correctness failure makes the exit code nonzero.
+// inside the boundary-growth envelope.  --budget-kb (default: the
+// service's default budget, which never evicts here) bounds the cached
+// contexts, so a small budget rebuilds a context on every step and the
+// chains must carry on across the evictions.  Per-step rows (timings,
+// migration fraction, escalation flags) land in BENCH_PR8.json by
+// default; any correctness failure makes the exit code nonzero.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -70,8 +75,8 @@ using namespace mmd;
                "usage: %s [out.json] [--label <s>] [--requests <n>]\n"
                "       [--clients <n>] [--graphs <n>] [--workers <n>]\n"
                "       [--budget-kb <kb>] [--zipf <alpha>] [--seed <s>]\n"
-               "       %s [out.json] --drift [--steps <n>] [--label <s>]"
-               " [--seed <s>]\n",
+               "       %s [out.json] --drift [--steps <n>] [--budget-kb <kb>]"
+               " [--label <s>] [--seed <s>]\n",
                argv0, argv0);
   std::exit(2);
 }
@@ -128,7 +133,7 @@ bool same_coloring(const Coloring& a, const Coloring& b) {
 }
 
 int run_drift(const std::string& out_path, const std::string& label, int steps,
-              std::uint64_t seed) {
+              std::uint64_t seed, std::size_t budget_bytes) {
   const int kK = 8;
   const int sides[] = {32, 48};
   const char* scenarios[] = {"random_walk", "hotspot"};
@@ -142,6 +147,7 @@ int run_drift(const std::string& out_path, const std::string& label, int steps,
 
   PartitionServiceOptions so;
   so.num_workers = 1;
+  so.context_budget_bytes = budget_bytes;
   PartitionService service(so);
 
   for (int si = 0; si < 2; ++si) {
@@ -310,6 +316,8 @@ int run_drift(const std::string& out_path, const std::string& label, int steps,
       .add("host_cores", host_cores())
       .add("build_type", build_type())
       .add("steps", static_cast<long>(steps))
+      .add("budget_kb", static_cast<long>(budget_bytes >> 10))
+      .add("context_evictions", service.stats().context_evictions)
       .add("rows_total", static_cast<long>(rows.size()))
       .add("incremental_rows", incremental_rows)
       .add("escalated_rows", escalated_rows)
@@ -379,6 +387,7 @@ int main(int argc, char** argv) {
 
   bool saw_out = false;
   bool saw_label = false;
+  bool saw_budget = false;
   // Strict numeric argument parsing (io/strict_parse.hpp, the METIS
   // reader's hardened path): a malformed value is bad usage (exit 2),
   // never a silently adopted 0 — `--zipf garbage` used to atof() to
@@ -428,7 +437,10 @@ int main(int argc, char** argv) {
     else if (arg == "--clients") num_clients = parse_int_arg(next(), "--clients");
     else if (arg == "--graphs") num_graphs = parse_int_arg(next(), "--graphs");
     else if (arg == "--workers") num_workers = parse_int_arg(next(), "--workers");
-    else if (arg == "--budget-kb") budget_kb = parse_long_arg(next(), "--budget-kb");
+    else if (arg == "--budget-kb") {
+      budget_kb = parse_long_arg(next(), "--budget-kb");
+      saw_budget = true;
+    }
     else if (arg == "--zipf") zipf_alpha = parse_double_arg(next(), "--zipf");
     else if (arg == "--seed") seed = parse_seed_arg(next());
     else if (arg == "--drift") drift = true;
@@ -451,7 +463,9 @@ int main(int argc, char** argv) {
   if (drift) {
     if (!saw_out) out_path = "BENCH_PR8.json";
     if (!saw_label) label = "pr8-drift";
-    return run_drift(out_path, label, steps, seed);
+    return run_drift(out_path, label, steps, seed,
+                     saw_budget ? static_cast<std::size_t>(budget_kb) << 10
+                                : PartitionServiceOptions{}.context_budget_bytes);
   }
 
   Rng rng(seed);
@@ -650,6 +664,11 @@ int main(int argc, char** argv) {
       .add("p95_ms", latency.percentile(0.95) * 1e3)
       .add("p99_ms", latency.percentile(0.99) * 1e3)
       .add("max_ms", latency.max() * 1e3)
+      .add("queue_wait_p50_ms", stats.queue_wait_p50_seconds * 1e3)
+      .add("queue_wait_p95_ms", stats.queue_wait_p95_seconds * 1e3)
+      .add("queue_wait_p99_ms", stats.queue_wait_p99_seconds * 1e3)
+      .add("exec_p50_ms", stats.p50_seconds * 1e3)
+      .add("exec_p99_ms", stats.p99_seconds * 1e3)
       .add("cache_hits", stats.cache_hits)
       .add("cache_misses", stats.cache_misses)
       .add("cache_hit_rate", stats.hit_rate())
