@@ -136,7 +136,10 @@ DecomposeResult DecomposeContext::do_repartition() {
     opt.prior = &ps;
     r = mmd::decompose(*g_, c.weights, opt, *splitter_, ws_);
     if (r.incremental) ++stats_.incremental_served;
-    if (r.escalated) ++stats_.escalations;
+    if (r.escalated) {
+      ++stats_.escalations;
+      ++stats_.escalation_reasons[r.escalation];
+    }
   } else {
     r = mmd::decompose(*g_, c.weights, options_, *splitter_, ws_);
   }

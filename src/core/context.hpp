@@ -108,6 +108,7 @@ struct DecomposeContextStats {
   long repartition_calls = 0;    ///< repartition() calls served
   long incremental_served = 0;   ///< of those, served by the seeded path
   long escalations = 0;          ///< of those, escalated to a full solve
+  EscalationCounts escalation_reasons;  ///< escalations by reason
 };
 
 /// The state a repartition chain carries from one call to the next: the
@@ -200,12 +201,13 @@ class DecomposeContext {
 
   /// Solve under the bound weights after applying `deltas`, seeding from
   /// the previous repartition's solution when one is cached: the first
-  /// call is a full solve; later calls run the incremental seeded path
-  /// and escalate to a full solve when the certificate fires (see
-  /// IncrementalOptions).  On success the result is adopted as the new
-  /// prior and the pending dirty set is cleared; on a thrown fault
-  /// (deadline/cancel/alloc) nothing is adopted, the dirty set keeps
-  /// accumulating, and an identical retry returns a bit-identical result.
+  /// call is a full solve; later calls repair the prior's balance locally
+  /// and refine around the deltas, and escalate to a full solve when the
+  /// certificate fires (see IncrementalOptions).  On success the result
+  /// is adopted as the new prior and the pending dirty set is cleared; on
+  /// a thrown fault (deadline/cancel/alloc) nothing is adopted, the dirty
+  /// set keeps accumulating, and an identical retry returns a
+  /// bit-identical result.
   DecomposeResult repartition(std::span<const WeightDelta> deltas = {});
 
   /// Same with per-call options (reconciled like decompose(w, options)).

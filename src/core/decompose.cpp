@@ -6,6 +6,7 @@
 #include "core/binpack.hpp"
 #include "core/bisection.hpp"
 #include "core/context.hpp"
+#include "core/repair.hpp"
 #include "separators/composite.hpp"
 #include "separators/grid_split.hpp"
 #include "separators/prefix_splitter.hpp"
@@ -58,6 +59,24 @@ double default_sigma_p(const Graph& g, double p) {
   }
   (void)p;
   return 2.0;
+}
+
+const char* to_string(Escalation e) {
+  switch (e) {
+    case Escalation::None:
+      return "none";
+    case Escalation::Structure:
+      return "structure";
+    case Escalation::BalanceGate:
+      return "balance_gate";
+    case Escalation::RepairFailed:
+      return "repair_failed";
+    case Escalation::DirtyRegion:
+      return "dirty_region";
+    case Escalation::BoundaryGrowth:
+      return "boundary_growth";
+  }
+  return "unknown";
 }
 
 namespace {
@@ -191,17 +210,21 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
   Timer call_timer;
 
   if (options.prior != nullptr) {
-    // Incremental-first: seeded refinement over the dirty region.  When
+    // Incremental-first: balance repair, then seeded refinement over the
+    // dirty region.  When
     // the escalation certificate fires, fall back to a full solve with the
     // prior stripped — that path is the ordinary pipeline, so it keeps the
     // bit-identical warm/cold/threaded contract — and report the migration
     // the caller is about to pay.
-    if (auto inc = try_incremental_repartition(g, w, options, ws)) return *inc;
+    Escalation why = Escalation::None;
+    if (auto inc = try_incremental_repartition(g, w, options, ws, &why))
+      return *inc;
     DecomposeOptions full = options;
     full.prior = nullptr;
     DecomposeResult out = decompose(g, w, full, splitter, ws);
     out.total_seconds = call_timer.seconds();  // incremental attempt included
     out.escalated = true;
+    out.escalation = why;
     out.migration_cost = count_migration(*options.prior->coloring, out.coloring);
     return out;
   }
@@ -227,7 +250,7 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
 
 std::optional<DecomposeResult> try_incremental_repartition(
     const Graph& g, std::span<const double> w, const DecomposeOptions& options,
-    DecomposeWorkspace* ws) {
+    DecomposeWorkspace* ws, Escalation* escalation) {
   MMD_REQUIRE(options.prior != nullptr,
               "incremental repartition requires options.prior");
   const PriorSolution& prior = *options.prior;
@@ -235,6 +258,10 @@ std::optional<DecomposeResult> try_incremental_repartition(
   MMD_REQUIRE(static_cast<Vertex>(w.size()) == g.num_vertices(),
               "weight arity mismatch");
   options.exec.check();
+  const auto escalate = [&](Escalation why) -> std::optional<DecomposeResult> {
+    if (escalation != nullptr) *escalation = why;
+    return std::nullopt;
+  };
 
   const Coloring& pc = *prior.coloring;
   const Vertex n = g.num_vertices();
@@ -244,56 +271,57 @@ std::optional<DecomposeResult> try_incremental_repartition(
   // served-request condition, not a caller bug.
   if (pc.k != options.k || options.k <= 1 ||
       static_cast<Vertex>(pc.color.size()) != n || !pc.is_total())
-    return std::nullopt;
+    return escalate(Escalation::Structure);
 
-  // Balance certificate: the prior must still fit balance_headroom x the
-  // Definition 1 window under the NEW weights (O(n)).  With the default
-  // headroom of 1.0 every served incremental result is strictly balanced
-  // (refinement preserves it).
+  // Repair gate: a prior within balance_headroom x the Definition 1 window
+  // under the NEW weights is repaired below; one past it is solved cold.
   const BalanceReport pre = balance_report(w, pc);
-  if (pre.max_dev > options.incremental.balance_headroom * pre.strict_bound +
-                        1e-9 * std::max(1.0, pre.avg))
-    return std::nullopt;
+  if (!pre.finite ||
+      pre.max_dev > options.incremental.balance_headroom * pre.strict_bound)
+    return escalate(Escalation::BalanceGate);
 
   Timer total_timer;
   DecomposeWorkspace local_ws;
   DecomposeWorkspace& wsr = ws ? *ws : local_ws;
   RefineWorkspace& rw = wsr.refine;
 
-  // Dirty region = every vertex of a delta-touched class plus the foreign
-  // vertices adjacent to one (the boundary of those classes).  Class
-  // marking is set-union, so duplicate dirty entries are harmless; an
-  // empty dirty span marks nothing and the seeded refinement is a no-op.
-  if (rw.class_dirty.size() < static_cast<std::size_t>(pc.k))
-    rw.class_dirty.resize(static_cast<std::size_t>(pc.k));
-  std::fill(rw.class_dirty.begin(), rw.class_dirty.begin() + pc.k,
-            std::uint8_t{0});
-  for (const Vertex v : prior.dirty) {
-    MMD_REQUIRE(v >= 0 && v < n, "dirty vertex out of range");
-    rw.class_dirty[static_cast<std::size_t>(pc[v])] = 1;
-  }
-  rw.seed.clear();
-  for (Vertex v = 0; v < n; ++v) {
-    bool in = rw.class_dirty[static_cast<std::size_t>(pc[v])] != 0;
-    if (!in) {
-      for (const HalfEdge& h : g.incidence(v)) {
-        if (rw.class_dirty[static_cast<std::size_t>(pc[h.to])] != 0) {
-          in = true;
-          break;
-        }
-      }
+  // Dirty region = the delta vertices and the vertices the repair moves,
+  // plus their neighbours (duplicates removed).  The delta part is checked
+  // against the cap first, so a wide rebind escalates before any repair.
+  const auto add_to_seed = [&](std::span<const Vertex> from) {
+    for (const Vertex v : from) {
+      MMD_REQUIRE(v >= 0 && v < n, "dirty vertex out of range");
+      rw.seed.push_back(v);
+      for (const HalfEdge& h : g.incidence(v)) rw.seed.push_back(h.to);
     }
-    if (in) rw.seed.push_back(v);
-  }
-  if (static_cast<double>(rw.seed.size()) >
-      options.incremental.max_dirty_fraction * static_cast<double>(n))
-    return std::nullopt;
+    std::sort(rw.seed.begin(), rw.seed.end());
+    rw.seed.erase(std::unique(rw.seed.begin(), rw.seed.end()), rw.seed.end());
+  };
+  const double seed_cap =
+      options.incremental.max_dirty_fraction * static_cast<double>(n);
+  rw.seed.clear();
+  add_to_seed(prior.dirty);
+  if (static_cast<double>(rw.seed.size()) > seed_cap)
+    return escalate(Escalation::DirtyRegion);
 
   DecomposeResult out;
+  out.coloring = pc;  // repaired and refined in place below
+
+  // Balance repair: boundary moves back into the strict window, within a
+  // budget fixed by the delta count.
+  if (pre.max_dev > pre.strict_bound) {
+    const long budget =
+        std::max<long>(64, 4 * static_cast<long>(prior.dirty.size()));
+    if (!repair_balance(g, out.coloring, w, budget, rw).ok)
+      return escalate(Escalation::RepairFailed);
+    add_to_seed(rw.moved);
+    if (static_cast<double>(rw.seed.size()) > seed_cap)
+      return escalate(Escalation::DirtyRegion);
+  }
+
   out.sigma_p = options.sigma_p > 0.0 ? options.sigma_p
                                       : default_sigma_p(g, options.p);
   out.bound = theorem4_bound(g, options.p, out.sigma_p, options.k);
-  out.coloring = pc;  // refined in place below
 
   Timer phase_timer;
   MinmaxRefineOptions refine = options.refine;
@@ -305,24 +333,30 @@ std::optional<DecomposeResult> try_incremental_repartition(
   refine.seeded = true;
   refine.seed = std::span<const Vertex>(rw.seed);
   out.refine_stats = minmax_refine(g, out.coloring, w, refine, &rw);
-  out.phase_refine = report_phase(g, w, out.coloring, phase_timer.seconds());
 
+  // Served only when strictly balanced under freshly summed class weights,
+  // with no slack: refinement's own window test carries a rounding
+  // tolerance, and a prior just outside the exact window must not pass.
   out.balance = balance_report(w, out.coloring);
+  if (!out.balance.finite || out.balance.max_dev > out.balance.strict_bound)
+    return escalate(Escalation::RepairFailed);
   const auto bc = class_boundary_costs(g, out.coloring);
   out.max_boundary = norm_inf(bc);
   out.avg_boundary = norm1(bc) / options.k;
+  out.phase_refine = {phase_timer.seconds(), out.max_boundary,
+                      out.avg_boundary, out.balance.max_dev};
 
   // Boundary-growth envelope against the last FULL solve.  Boundary cost
-  // is weight-independent and seeded refinement is monotone non-increasing
-  // from the prior, so along an incremental chain this fires only when the
-  // chain has genuinely drifted past the envelope.
+  // is weight-independent and seeded refinement never raises it, but the
+  // balance repair's moves can, so along an incremental chain this fires
+  // when the repairs have pushed the boundary past the envelope.
   const double baseline = prior.baseline_max_boundary > 0.0
                               ? prior.baseline_max_boundary
                               : prior.max_boundary;
   if (baseline > 0.0 && out.max_boundary >
                             options.incremental.max_boundary_growth * baseline +
                                 1e-9)
-    return std::nullopt;
+    return escalate(Escalation::BoundaryGrowth);
 
   out.migration_cost = count_migration(pc, out.coloring);
   out.incremental = true;

@@ -14,6 +14,7 @@
 // empirically, or defaulted from the grid bound.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 
@@ -61,33 +62,40 @@ struct PriorSolution {
   const Coloring* coloring = nullptr;   ///< previous solution (required)
   double max_boundary = 0.0;  ///< ||d chi^-1||_inf of `coloring`
   /// max_boundary recorded at the last FULL solve: the reference the
-  /// boundary-growth escalation envelope is measured against (incremental
-  /// refinement only ever lowers the boundary, so drift accumulates
-  /// relative to this, not to the previous incremental step).
+  /// boundary-growth escalation envelope is measured against (balance
+  /// repairs can raise the boundary a little at each incremental step, so
+  /// drift accumulates relative to this, not to the previous step).
   double baseline_max_boundary = 0.0;
-  /// Vertices whose weight changed since `coloring` was produced.  Empty
-  /// means "nothing changed" (NOT "unknown"): the seeded refinement then
-  /// visits nothing and the call is a cheap no-op returning the prior.
+  /// Vertices whose weight changed since `coloring` was produced.  The
+  /// seeded refinement starts from these, the vertices the balance repair
+  /// moved, and their neighbours; the count also sizes the repair's move
+  /// budget.  Empty means "nothing changed" (NOT "unknown"): with the
+  /// prior still strictly balanced the call is a cheap no-op returning it.
   std::span<const Vertex> dirty;
 };
 
 /// Escalation certificate of the incremental repartition path: when any
 /// threshold is exceeded the prior is abandoned and decompose() falls back
-/// to a full re-decompose (DecomposeResult::escalated).
+/// to a full re-decompose (DecomposeResult::escalated).  Whatever these
+/// say, an incremental answer is served only when it is strictly balanced
+/// under freshly summed class weights, with no slack.
 struct IncrementalOptions {
-  /// The prior must still fit `balance_headroom` x the Definition 1 window
-  /// under the new weights; 1.0 = the strict window itself, so the
-  /// incremental result is strictly balanced whenever it is served.
-  double balance_headroom = 1.0;
+  /// Repair gate.  A prior whose max class deviation under the new weights
+  /// exceeds `balance_headroom` x the Definition 1 window is solved cold;
+  /// one inside it is brought back into the window by repair_balance
+  /// (core/repair.hpp), which escalates when it is stuck or spends its
+  /// move budget (4 moves per dirty vertex, at least 64).
+  double balance_headroom = 3.0;
   /// Escalate when the incremental max boundary exceeds this multiple of
-  /// PriorSolution::baseline_max_boundary.  Defensive envelope: boundary
-  /// cost is weight-independent and refinement is monotone, so along an
-  /// incremental chain this rarely fires — balance drift is the operative
-  /// trigger.
+  /// PriorSolution::baseline_max_boundary.  Boundary cost is
+  /// weight-independent and seeded refinement never raises it, but the
+  /// balance repair's moves can, so this envelope bounds how far a chain
+  /// of repaired answers may drift from the last full solve.
   double max_boundary_growth = 1.5;
-  /// Escalate when the dirty region (vertices in delta-touched classes
-  /// plus their boundary) exceeds this fraction of the graph — past that
-  /// the seeded refinement approaches a full sweep anyway.
+  /// Escalate when the dirty region (the delta vertices and the vertices
+  /// the repair moved, plus their neighbours) exceeds this fraction of the
+  /// graph — past that the seeded refinement approaches a full sweep
+  /// anyway, and a rebind that changes most weights is better solved cold.
   double max_dirty_fraction = 0.75;
 };
 
@@ -164,14 +172,41 @@ struct DecomposeOptions {
   DecomposeDiagnostics* diagnostics = nullptr;
 
   /// Previous solution to seed from (borrowed; nullptr = solve cold).
-  /// When set, decompose() first attempts the incremental path — seeded
-  /// worklist refinement over the dirty region — and falls back to a full
-  /// re-decompose (with `escalated` set in the result) whenever the
-  /// `incremental` escalation certificate fires.  DecomposeContext strips
+  /// When set, decompose() first attempts the incremental path — a local
+  /// balance repair, then seeded worklist refinement over the dirty
+  /// region — and falls back to a full re-decompose (with `escalated` and
+  /// `escalation` set in the result) whenever the `incremental` escalation
+  /// certificate fires.  DecomposeContext strips
   /// this pointer when caching options (it would dangle); use
   /// DecomposeContext::repartition for the cached-prior flow.
   const PriorSolution* prior = nullptr;
   IncrementalOptions incremental;  ///< escalation thresholds (prior != nullptr)
+};
+
+/// Why a prior-seeded call fell back to a full solve.
+enum class Escalation {
+  None,            ///< not escalated (no prior, or served incrementally)
+  Structure,       ///< prior is not a total k-coloring of this graph
+  BalanceGate,     ///< prior is past IncrementalOptions::balance_headroom
+  RepairFailed,    ///< balance repair stuck or over budget, or its answer
+                   ///< not strictly balanced under fresh sums
+  DirtyRegion,     ///< dirty region past max_dirty_fraction
+  BoundaryGrowth,  ///< answer past the max_boundary_growth envelope
+};
+inline constexpr std::size_t kEscalationKinds =
+    static_cast<std::size_t>(Escalation::BoundaryGrowth) + 1;
+
+/// Stable lower-case name ("none", "structure", "balance_gate",
+/// "repair_failed", "dirty_region", "boundary_growth").
+const char* to_string(Escalation e);
+
+/// One counter per Escalation reason (the None entry stays 0).
+struct EscalationCounts {
+  std::array<long, kEscalationKinds> count{};
+  long& operator[](Escalation e) { return count[static_cast<std::size_t>(e)]; }
+  long operator[](Escalation e) const {
+    return count[static_cast<std::size_t>(e)];
+  }
 };
 
 /// Timing and quality snapshot taken after one pipeline phase.
@@ -199,6 +234,7 @@ struct DecomposeResult {
   long migration_cost = -1;
   bool incremental = false;  ///< served by the seeded-refinement fast path
   bool escalated = false;    ///< prior supplied but certificate forced full solve
+  Escalation escalation = Escalation::None;  ///< why, when escalated
 };
 
 /// Decompose with an externally provided splitter (the low-level core).
@@ -234,17 +270,17 @@ DecomposeResult decompose(const Graph& g, std::span<const double> w,
                           const DecomposeOptions& options,
                           DecomposeWorkspace* ws = nullptr);
 
-/// The incremental repartition attempt on its own: seeded worklist
-/// refinement of `options.prior` over the dirty region, or std::nullopt
-/// when the escalation certificate fires (prior structurally unusable, no
-/// longer within the balance headroom under `w`, dirty region too large,
-/// or refined boundary outside the growth envelope).  decompose() calls
-/// this first whenever options.prior is set; it is exposed so callers can
-/// attempt the cheap path without committing to the full fallback.
-/// Requires options.prior != nullptr with a non-null coloring.
+/// The incremental repartition attempt on its own: `options.prior`, its
+/// balance repaired under `w` when it drifted out of the window, then
+/// seeded worklist refinement over the dirty region; or std::nullopt when
+/// the escalation certificate fires (the Escalation reasons), with the
+/// reason stored in `*escalation` when that is non-null.  decompose()
+/// calls this first whenever options.prior is set; it is exposed so
+/// callers can attempt the cheap path without committing to the full
+/// fallback.  Requires options.prior != nullptr with a non-null coloring.
 std::optional<DecomposeResult> try_incremental_repartition(
     const Graph& g, std::span<const double> w, const DecomposeOptions& options,
-    DecomposeWorkspace* ws = nullptr);
+    DecomposeWorkspace* ws = nullptr, Escalation* escalation = nullptr);
 
 /// The multi-balanced variant of Theorem 4 (Conclusion): a k-coloring that
 /// is strictly balanced w.r.t. `psi`, weakly balanced w.r.t. every extra

@@ -46,12 +46,12 @@ struct RefineWorkspace {
   std::vector<Vertex> cand;               ///< seed candidates, next round
   std::vector<std::uint32_t> in_queue;    ///< epoch stamps over vertices
   std::uint32_t queue_epoch = 0;
-  // Dirty-region scratch of the incremental repartition path
-  // (try_incremental_repartition).  The Refiner itself never touches these
+  // Scratch of the incremental repartition path (repair_balance and
+  // try_incremental_repartition).  The Refiner itself never touches these
   // two, so the seed built here can be passed into minmax_refine by span
   // while the same workspace serves the refinement.
-  std::vector<std::uint8_t> class_dirty;  ///< per-class delta-touched flags
-  std::vector<Vertex> seed;               ///< dirty region handed to round 0
+  std::vector<Vertex> moved;  ///< vertices repair_balance moved, in order
+  std::vector<Vertex> seed;   ///< dirty region handed to round 0
 };
 
 /// Vertex-indexed scratch of one shrink_once call (shrink.hpp): the

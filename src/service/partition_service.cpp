@@ -261,6 +261,7 @@ void PartitionService::execute_one(GraphState* gs, Pending& p) {
       resp.migration_cost = r.migration_cost;
       resp.incremental = r.incremental;
       resp.escalated = r.escalated;
+      resp.escalation = r.escalation;
       resp.status = ServiceStatus::Ok;
     } else {
       warm = gs->fctx != nullptr;
@@ -319,7 +320,10 @@ void PartitionService::execute_one(GraphState* gs, Pending& p) {
   }
   if (req.mode == RequestMode::Repartition && resp.ok()) {
     ++stats_.repartitions;
-    if (resp.escalated) ++stats_.repartition_escalations;
+    if (resp.escalated) {
+      ++stats_.repartition_escalations;
+      ++stats_.escalation_reasons[resp.escalation];
+    }
   }
   if (gs != nullptr) {
     if (warm) {

@@ -130,8 +130,9 @@ struct ServiceResponse {
   double seconds = 0.0;   ///< service-side execution time (excludes queueing)
   // Repartition outcome (RequestMode::Repartition only):
   long migration_cost = -1;  ///< vertices that changed class vs the prior
-  bool incremental = false;  ///< served by the seeded path
+  bool incremental = false;  ///< served by the repair + seeded path
   bool escalated = false;    ///< certificate fired; full solve served
+  Escalation escalation = Escalation::None;  ///< why, when escalated
 
   bool ok() const {
     return status == ServiceStatus::Ok || status == ServiceStatus::Degraded;
@@ -150,6 +151,7 @@ struct ServiceStats {
   long batched_requests = 0;   ///< requests that shared a lane batch with others
   long repartitions = 0;           ///< Repartition requests executed
   long repartition_escalations = 0;  ///< of those, escalated to full solves
+  EscalationCounts escalation_reasons;  ///< those escalations by reason
   std::size_t cached_bytes = 0;   ///< current context-budget usage
   /// Registered graphs with their weights and repartition chains: outside
   /// the context budget, never evicted.

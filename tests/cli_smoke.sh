@@ -137,6 +137,7 @@ else
 fi
 expect_contains "stats" 4 '"cache_hits":1'
 expect_contains "stats queue wait" 4 '"queue_wait_p50_seconds":'
+expect_contains "stats escalation reasons" 4 '"escalation_balance_gate":'
 expect_contains "evict" 5 '"existed":true'
 expect_contains "decompose after evict" 6 '"status":"not_found"'
 expect_contains "malformed line survives" 7 '"status":"bad_request"'
@@ -198,6 +199,7 @@ expect_rep "chain-binding solve" 2 '"op":"repartition","graph":"g","status":"ok"
 expect_rep "no prior to migrate from" 2 '"migration_cost":-1'
 expect_rep "delta follow-up ok" 3 '"status":"ok"'
 expect_rep "follow-up carries chain fields" 3 '"incremental":'
+expect_rep "follow-up carries escalation reason" 3 '"escalation":"'
 expect_rep "missing k rejected" 4 '"status":"bad_request"'
 expect_rep "unknown graph" 5 '"status":"not_found"'
 expect_rep "bogus deltas rejected" 6 '"status":"bad_request"'

@@ -213,10 +213,10 @@ TEST(MemoryEstimate, WorkspaceEstimateTracksRefinePools) {
   const std::size_t before = live();
 
   // Grow exactly the pools the incremental repartition path uses: the
-  // dirty-region seed, the per-class delta-touched flags, and the
+  // dirty-region seed, the balance repair's moved-vertex list, and the
   // worklist queue.
   ws.refine.seed.reserve(4096);
-  ws.refine.class_dirty.reserve(512);
+  ws.refine.moved.reserve(512);
   ws.refine.queue.reserve(2048);
 
   const std::size_t grown = live() - before;

@@ -4,9 +4,11 @@
 // The contract under test, layer by layer:
 //   * DecomposeContext::repartition — the first call of a chain is a full
 //     solve bit-identical to a cold decompose; a no-delta follow-up is a
-//     cheap incremental no-op returning the prior; small localized drift
-//     rides the seeded path and stays strictly balanced; drift past the
-//     certificate escalates to a full solve bit-identical to a cold one.
+//     cheap incremental no-op returning the prior; small drift rides the
+//     seeded path and stays strictly balanced; drift a few windows out is
+//     repaired locally and served; drift past the repair gate, a failed
+//     repair and a wide rebind escalate to a full solve bit-identical to a
+//     cold one.  Nothing outside the exact Definition 1 window is served.
 //   * update_weights — validates every delta before mutating anything, so
 //     a rejected batch leaves the chain exactly as it was.
 //   * PartitionService — the `repartition` request mode: weights alongside
@@ -19,6 +21,7 @@
 
 #include "core/context.hpp"
 #include "core/decompose.hpp"
+#include "core/repair.hpp"
 #include "core/verify.hpp"
 #include "gen/grid.hpp"
 #include "service/partition_service.hpp"
@@ -159,7 +162,35 @@ TEST(Repartition, BalanceDriftEscalatesBitIdenticalToFullSolve) {
   EXPECT_EQ(ctx.stats().escalations, 1);
 }
 
-TEST(Repartition, ScatteredDriftTripsDirtyFractionCertificate) {
+TEST(Repartition, ScatteredDriftServedIncrementally) {
+  const Graph g = drift_grid(16);
+  const int n = g.num_vertices();
+  std::vector<double> w(static_cast<std::size_t>(n), 1.0);
+  DecomposeOptions opt;
+  opt.k = 4;
+  DecomposeContext ctx(g, opt);
+  ctx.set_weights(w);
+  const DecomposeResult first = ctx.repartition();
+
+  // A tiny nudge on one vertex per class: every class is delta-touched,
+  // but the dirty region is only the nudged vertices and their
+  // neighbours, so the prior is served.
+  std::vector<WeightDelta> deltas;
+  for (int c = 0; c < 4; ++c) {
+    const auto v = static_cast<Vertex>(c * (n / 4) + n / 8);
+    deltas.push_back({v, 1.01});
+    w[static_cast<std::size_t>(v)] = 1.01;
+  }
+  const DecomposeResult inc = ctx.repartition(deltas);
+  EXPECT_TRUE(inc.incremental);
+  EXPECT_FALSE(inc.escalated);
+  EXPECT_EQ(inc.escalation, Escalation::None);
+  expect_verified(g, w, inc.coloring, "scattered drift");
+  EXPECT_LE(inc.max_boundary,
+            opt.incremental.max_boundary_growth * first.max_boundary + 1e-9);
+}
+
+TEST(Repartition, DirtyFractionCertificateFiresOnWideRebind) {
   const Graph g = drift_grid(16);
   const int n = g.num_vertices();
   std::vector<double> w(static_cast<std::size_t>(n), 1.0);
@@ -169,18 +200,162 @@ TEST(Repartition, ScatteredDriftTripsDirtyFractionCertificate) {
   ctx.set_weights(w);
   (void)ctx.repartition();
 
-  // A tiny nudge on one vertex per class: every class is delta-touched,
-  // the dirty region is the whole graph, and the certificate escalates
-  // even though balance barely moved.
-  std::vector<WeightDelta> deltas;
-  for (int c = 0; c < 4; ++c) {
-    const auto v = static_cast<Vertex>(c * (n / 4) + n / 8);
-    deltas.push_back({v, 1.01});
-    w[static_cast<std::size_t>(v)] = 1.01;
-  }
-  const DecomposeResult esc = ctx.repartition(deltas);
+  // A rebind that changes 80% of the weights by a hair: balance barely
+  // moves, but the dirty region covers more than 75% of the graph.
+  for (int v = 0; v < n; ++v)
+    if (v % 5 != 0) w[static_cast<std::size_t>(v)] = 1.001;
+  ctx.set_weights(w);
+  const DecomposeResult esc = ctx.repartition();
+  EXPECT_FALSE(esc.incremental);
   EXPECT_TRUE(esc.escalated);
-  expect_verified(g, w, esc.coloring, "dirty-fraction escalation");
+  EXPECT_EQ(esc.escalation, Escalation::DirtyRegion);
+  expect_verified(g, w, esc.coloring, "wide rebind");
+
+  const DecomposeResult cold = decompose(g, w, opt);
+  EXPECT_EQ(esc.coloring.color, cold.coloring.color);
+  EXPECT_DOUBLE_EQ(esc.max_boundary, cold.max_boundary);
+  EXPECT_EQ(ctx.stats().escalation_reasons[Escalation::DirtyRegion], 1);
+}
+
+TEST(Repartition, BalanceRepairRestoresStrictWindow) {
+  const Graph g = drift_grid(32);
+  const int n = g.num_vertices();
+  std::vector<double> w(static_cast<std::size_t>(n), 1.0);
+  DecomposeOptions opt;
+  opt.k = 8;
+  DecomposeContext ctx(g, opt);
+  ctx.set_weights(w);
+  const DecomposeResult first = ctx.repartition();
+
+  // Twelve vertices of one class get 1.2x heavier: that class overshoots
+  // the window by about twice its width.
+  const std::int32_t heavy = first.coloring[0];
+  std::vector<WeightDelta> deltas;
+  for (int v = 0; v < n && deltas.size() < 12; ++v) {
+    if (first.coloring[static_cast<Vertex>(v)] != heavy) continue;
+    deltas.push_back({static_cast<Vertex>(v), 1.2});
+    w[static_cast<std::size_t>(v)] = 1.2;
+  }
+  const BalanceReport pre = balance_report(w, first.coloring);
+  ASSERT_GT(pre.max_dev, pre.strict_bound);
+  ASSERT_LT(pre.max_dev, 3.0 * pre.strict_bound);
+
+  const DecomposeResult inc = ctx.repartition(deltas);
+  EXPECT_TRUE(inc.incremental);
+  EXPECT_EQ(inc.escalation, Escalation::None);
+  expect_verified(g, w, inc.coloring, "repaired result");
+  const BalanceReport post = balance_report(w, inc.coloring);
+  EXPECT_LE(post.max_dev, post.strict_bound);  // exact, no slack
+  long changed = 0;
+  for (int v = 0; v < n; ++v)
+    changed += inc.coloring[static_cast<Vertex>(v)] !=
+               first.coloring[static_cast<Vertex>(v)];
+  EXPECT_GT(changed, 0);
+  EXPECT_EQ(inc.migration_cost, changed);
+}
+
+TEST(Repartition, RepairFailureEscalatesBitIdentical) {
+  // Two halves of a grid; the rows on either side of the cut weigh
+  // nothing, so the overfull half has no boundary vertex whose move
+  // changes a class sum: the repair is stuck and must escalate.
+  const Graph g = drift_grid(16);
+  const int n = g.num_vertices();
+  std::vector<double> w(static_cast<std::size_t>(n), 1.0);
+  Coloring halves(2, n);
+  for (int v = 0; v < n; ++v) {
+    const int row = v / 16;
+    halves[static_cast<Vertex>(v)] = row < 8 ? 0 : 1;
+    if (row == 7 || row == 8) w[static_cast<std::size_t>(v)] = 0.0;
+  }
+  std::vector<Vertex> dirty;
+  for (const Vertex v : {200, 201}) {  // interior of the lower half
+    w[static_cast<std::size_t>(v)] = 0.0;
+    dirty.push_back(v);
+  }
+  const BalanceReport pre = balance_report(w, halves);
+  ASSERT_GT(pre.max_dev, pre.strict_bound);
+  ASSERT_LE(pre.max_dev, 3.0 * pre.strict_bound);
+
+  DecomposeOptions opt;
+  opt.k = 2;
+  PriorSolution prior;
+  prior.coloring = &halves;
+  prior.dirty = dirty;
+  DecomposeOptions seeded = opt;
+  seeded.prior = &prior;
+  const DecomposeResult esc = decompose(g, w, seeded);
+  EXPECT_FALSE(esc.incremental);
+  EXPECT_TRUE(esc.escalated);
+  EXPECT_EQ(esc.escalation, Escalation::RepairFailed);
+  expect_verified(g, w, esc.coloring, "repair-failure escalation");
+
+  const DecomposeResult cold = decompose(g, w, opt);
+  EXPECT_EQ(esc.coloring.color, cold.coloring.color);
+  EXPECT_DOUBLE_EQ(esc.max_boundary, cold.max_boundary);
+}
+
+TEST(Repartition, PriorInsideOldSlackIsNeverServedAsIs) {
+  // Class 0 sits 1e-8 past the Definition 1 window: inside the 1e-9 * avg
+  // slack the balance certificate once allowed, outside the exact window.
+  // With no deltas the seeded refinement would not touch it, so serving
+  // the prior unrepaired is the failure this pins.
+  const Graph g = drift_grid(16);
+  const int n = g.num_vertices();
+  std::vector<double> w(static_cast<std::size_t>(n), 1.0);
+  Coloring prior_chi(2, n);
+  for (int v = 0; v < n; ++v) prior_chi[static_cast<Vertex>(v)] = v < 129 ? 0 : 1;
+  w[0] = 2e-8;  // class 0: 128 + 2e-8, class 1: 127
+  const BalanceReport pre = balance_report(w, prior_chi);
+  ASSERT_GT(pre.max_dev, pre.strict_bound);
+  ASSERT_LE(pre.max_dev, pre.strict_bound + 1e-9 * pre.avg);
+
+  DecomposeOptions opt;
+  opt.k = 2;
+  PriorSolution prior;
+  prior.coloring = &prior_chi;
+  DecomposeOptions seeded = opt;
+  seeded.prior = &prior;
+  const DecomposeResult res = decompose(g, w, seeded);
+  EXPECT_NE(res.coloring.color, prior_chi.color);
+  EXPECT_LE(res.balance.max_dev, res.balance.strict_bound);
+  const BalanceReport post = balance_report(w, res.coloring);
+  EXPECT_LE(post.max_dev, post.strict_bound);
+  if (res.escalated) {
+    const DecomposeResult cold = decompose(g, w, opt);
+    EXPECT_EQ(res.coloring.color, cold.coloring.color);
+  } else {
+    EXPECT_TRUE(res.incremental);
+    EXPECT_GT(res.migration_cost, 0);
+  }
+}
+
+TEST(Repartition, RepairBalanceTakesLeastCutRiseLowestIdFirst) {
+  // A 2x4 ladder (ids r*4+c, unit costs and weights) with columns 0-2 in
+  // class 0 and column 3 in class 1: class 0 is 2 over W/k = 4.  Move 1:
+  // vertices 2 and 6 tie at cut rise +1, the lower id goes.  Move 2:
+  // vertex 6 now lowers the cut (rise -1) and wins over vertex 1 (+1).
+  GraphBuilder b(8);
+  for (int r = 0; r < 2; ++r)
+    for (int c = 0; c < 4; ++c) {
+      const int v = r * 4 + c;
+      if (c + 1 < 4) b.add_edge(v, v + 1, 1.0);
+      if (r == 0) b.add_edge(v, v + 4, 1.0);
+    }
+  const Graph g = b.build();
+  const std::vector<double> w(8, 1.0);
+  Coloring chi(2, 8);
+  for (int v = 0; v < 8; ++v) chi[v] = v % 4 == 3 ? 1 : 0;
+
+  RefineWorkspace ws;
+  Coloring stuck = chi;
+  EXPECT_FALSE(repair_balance(g, stuck, w, 1, ws).ok);  // over budget
+  EXPECT_EQ(ws.moved, std::vector<Vertex>{2});
+
+  const RepairStats st = repair_balance(g, chi, w, 64, ws);
+  EXPECT_TRUE(st.ok);
+  EXPECT_EQ(st.moves, 2);
+  EXPECT_EQ(ws.moved, (std::vector<Vertex>{2, 6}));
+  EXPECT_EQ(chi.color, (std::vector<std::int32_t>{0, 0, 1, 1, 0, 0, 1, 1}));
 }
 
 TEST(Repartition, UpdateWeightsValidatesBeforeMutating) {

@@ -47,7 +47,8 @@
 // decompose, repartition, stats, evict, shutdown.  The repartition op
 // carries weight deltas in a "deltas" string field ("v:w v:w ...",
 // absolute new weights) and answers with migration_cost/incremental/
-// escalated alongside the usual quality fields.  Request errors — malformed JSON included — are answered
+// escalated/escalation alongside the usual quality fields.  Request
+// errors — malformed JSON included — are answered
 // in-band ({"ok":false,...}) and never kill the session; the process
 // exits 0 on stdin EOF or a shutdown op (2 only for bad --serve usage).
 #include <cstdio>
@@ -275,6 +276,7 @@ int serve_main(const mmd::PartitionServiceOptions& service_options) {
             .add("migration_cost", resp.migration_cost)
             .add("incremental", resp.incremental)
             .add("escalated", resp.escalated)
+            .add("escalation", to_string(resp.escalation))
             .add("warm", resp.warm);
         if (include_partition) {
           std::string part;
@@ -315,6 +317,11 @@ int serve_main(const mmd::PartitionServiceOptions& service_options) {
           .add("queue_wait_p50_seconds", s.queue_wait_p50_seconds)
           .add("queue_wait_p95_seconds", s.queue_wait_p95_seconds)
           .add("queue_wait_p99_seconds", s.queue_wait_p99_seconds);
+      // One counter per escalation reason: escalation_structure, ...
+      for (std::size_t i = 1; i < kEscalationKinds; ++i)
+        w.add(std::string("escalation_") +
+                  to_string(static_cast<Escalation>(i)),
+              s.escalation_reasons.count[i]);
       emit(w);
     } else if (op == "evict") {
       const std::string graph = jsonl::get_string(obj, "graph", "", error);
@@ -472,6 +479,7 @@ int main(int argc, char** argv) {
     BalanceReport base_balance;
     long migration_cost = -1;
     bool rep_incremental = false, rep_escalated = false;
+    Escalation rep_escalation = Escalation::None;
     // --mem-stats breakdown, filled by whichever solve path runs.
     std::size_t ws_bytes = 0, ctx_bytes = 0;
     if (fast) {
@@ -564,6 +572,7 @@ int main(int argc, char** argv) {
         migration_cost = res.migration_cost;
         rep_incremental = res.incremental;
         rep_escalated = res.escalated;
+        rep_escalation = res.escalation;
         did_repartition = true;
         final_weights.assign(ctx.weights().begin(), ctx.weights().end());
         ws_bytes = ctx.workspace().memory_bytes();
@@ -631,10 +640,11 @@ int main(int argc, char** argv) {
       std::printf("n=%d m=%d k=%d strict window (1-1/k)||w||_inf = %.4f\n",
                   g.num_vertices(), g.num_edges(), k, balance.strict_bound);
       if (did_repartition)
-        std::printf("repartition: %s, migrated %ld/%d vertices\n",
+        std::printf("repartition: %s%s, migrated %ld/%d vertices\n",
                     rep_incremental ? "incremental"
-                                    : (rep_escalated ? "escalated to full solve"
+                                    : (rep_escalated ? "escalated to full solve: "
                                                      : "full (no prior)"),
+                    rep_escalated ? to_string(rep_escalation) : "",
                     migration_cost, g.num_vertices());
     }
     if (mem_stats) {

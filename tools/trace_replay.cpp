@@ -124,6 +124,7 @@ struct DriftRow {
   double migration_fraction = 0.0;
   bool incremental = false;
   bool escalated = false;
+  Escalation escalation = Escalation::None;
   double max_boundary_inc = 0.0;
   double max_boundary_full = 0.0;
 };
@@ -185,12 +186,9 @@ int run_drift(const std::string& out_path, const std::string& label, int steps,
         if (step > 0 && si == 0) {
           // Random walk: a contiguous ~1% id window drifts gently.  Grid
           // ids are row-major, so the window is a spatial strip touching
-          // one or two classes — the dirty region stays small and most
-          // steps ride the incremental path, with the occasional balance
-          // escalation when the per-class random walk crosses the strict
-          // window.  (Scattering the same deltas uniformly would touch
-          // every class and trip the dirty-fraction certificate each
-          // step.)
+          // one or two classes.  When the per-class random walk crosses
+          // the strict window the balance repair pulls it back, so most
+          // steps ride the incremental path.
           const int num = std::max(1, n / 100);
           const int start = static_cast<int>(
               rng.next_below(static_cast<std::uint64_t>(n - num)));
@@ -280,6 +278,7 @@ int run_drift(const std::string& out_path, const std::string& label, int steps,
                 : 0.0;
         row.incremental = resp.incremental;
         row.escalated = resp.escalated;
+        row.escalation = resp.escalation;
         row.max_boundary_inc = resp.max_boundary;
         row.max_boundary_full = full.max_boundary;
         rows.push_back(row);
@@ -327,6 +326,12 @@ int run_drift(const std::string& out_path, const std::string& label, int steps,
       .add("envelope_violations", envelope_violations)
       .add("error_responses", error_responses)
       .add("max_boundary_vs_seed", max_boundary_vs_seed);
+  // Why the escalated rows fell back to a full solve, one key per reason
+  // (escalation_structure, escalation_balance_gate, ...).
+  const ServiceStats final_stats = service.stats();
+  for (std::size_t i = 1; i < kEscalationKinds; ++i)
+    head.add(std::string("escalation_") + to_string(static_cast<Escalation>(i)),
+             final_stats.escalation_reasons.count[i]);
   const std::string head_json = head.str();
   // One flat summary object plus a rows array: the same envelope shape as
   // bench_runner, so bench_merge-style consumers can read either.
@@ -347,6 +352,7 @@ int run_drift(const std::string& out_path, const std::string& label, int steps,
         .add("migration_fraction", r.migration_fraction)
         .add("incremental", r.incremental)
         .add("escalated", r.escalated)
+        .add("escalation", to_string(r.escalation))
         .add("max_boundary_inc", r.max_boundary_inc)
         .add("max_boundary_full", r.max_boundary_full)
         .add("host_cores", host_cores())
